@@ -1,6 +1,7 @@
 package fastcolumns
 
 import (
+	"context"
 	"time"
 
 	"fastcolumns/internal/adaptive"
@@ -38,7 +39,7 @@ func (t *Table) SelectAdaptive(attr string, lo, hi Value) (AdaptiveResult, error
 	snap := t.engine.opt.Snapshot()
 	budget := adaptive.BudgetFromModel(rel.Column.Len(), float64(rel.Column.TupleSize()),
 		snap.HW, snap.Design)
-	res, err := adaptive.Select(rel, Predicate{Lo: lo, Hi: hi}, budget)
+	res, err := adaptive.SelectContext(context.Background(), rel, Predicate{Lo: lo, Hi: hi}, budget, t.execOptions())
 	if err != nil {
 		return AdaptiveResult{}, err
 	}

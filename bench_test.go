@@ -10,12 +10,14 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
 	"fastcolumns/internal/adaptive"
 	"fastcolumns/internal/baseline"
 	"fastcolumns/internal/bitmap"
+	"fastcolumns/internal/coop"
 	"fastcolumns/internal/dsl"
 	"fastcolumns/internal/exec"
 	"fastcolumns/internal/fit"
@@ -60,6 +62,14 @@ var (
 	fixOnce sync.Once
 	fix     fixture
 )
+
+// benchPass runs one unpublished scan pass over src on the default pool.
+func benchPass(b *testing.B, src coop.Source, preds []scan.Predicate) {
+	b.Helper()
+	if _, err := coop.Run(context.Background(), rt.Default(), nil, src, preds, nil); err != nil {
+		b.Fatal(err)
+	}
+}
 
 func getFixture(b *testing.B) *fixture {
 	b.Helper()
@@ -217,10 +227,13 @@ func BenchmarkFig15GroupScan(b *testing.B) {
 			}
 			col = g.Column("a")
 		}
-		p := scan.Predicate{Lo: 0, Hi: benchDomain / 100}
+		rel := &exec.Relation{Column: col}
+		p := []scan.Predicate{{Lo: 0, Hi: benchDomain / 100}}
 		b.Run("width="+qName(width)[1:], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = scan.ScanColumn(col, p, 0, nil)
+				if _, err := exec.RunScan(context.Background(), rel, p, exec.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -252,7 +265,7 @@ func BenchmarkFig17Compression(b *testing.B) {
 	})
 	b.Run("dict16bit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = scan.SharedCompressed(f.comp, preds, 0)
+			benchPass(b, scan.NewPacked(f.comp, 0, nil), preds)
 		}
 	})
 }
@@ -312,7 +325,10 @@ func BenchmarkFig19TPCH(b *testing.B) {
 		})
 		b.Run("monetdb_like/"+run.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ids := baseline.ColumnScan(l.ShipDate, p, 0)
+				ids, err := baseline.ColumnScan(context.Background(), l.ShipDate, p)
+				if err != nil {
+					b.Fatal(err)
+				}
 				run.q.Evaluate(l, ids)
 			}
 		})
@@ -386,13 +402,13 @@ func BenchmarkAblationPredication(b *testing.B) {
 	b.Run("predicated", func(b *testing.B) {
 		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = scan.Scan(f.data, p, out[:0])
+			out = scan.Scan(f.data, p, 0, out[:0])
 		}
 	})
 	b.Run("unrolled", func(b *testing.B) {
 		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = scan.ScanUnrolled(f.data, p, out[:0])
+			out = scan.ScanUnrolled(f.data, p, 0, out[:0])
 		}
 	})
 	b.Run("branching", func(b *testing.B) {
@@ -415,7 +431,7 @@ func BenchmarkAblationSharing(b *testing.B) {
 	b.Run("independent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range preds {
-				_ = scan.ScanUnrolled(f.data, p, nil)
+				_ = scan.ScanUnrolled(f.data, p, 0, nil)
 			}
 		}
 	})
@@ -451,7 +467,7 @@ func skewedHints(preds []scan.Predicate, n int) []int {
 
 // BenchmarkSkewedBatch is the tentpole's headline experiment: the same
 // skewed batch through the pre-morsel static query partition
-// (SharedStatic, spawning per call) and through morsel dispatch on a
+// (SharedStatic, spawning per call) and through a pass dispatched on a
 // persistent pool with pooled result arenas. Run with -benchmem: the
 // morsel side should also show (near-)zero steady-state allocations.
 func BenchmarkSkewedBatch(b *testing.B) {
@@ -470,9 +486,10 @@ func BenchmarkSkewedBatch(b *testing.B) {
 		defer pool.Close()
 		arena := rt.NewArena(0, nil)
 		hints := skewedHints(preds, benchN)
+		src := scan.NewRaw(f.data, 0, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := scan.SharedPool(pool, arena, f.data, preds, 0, hints)
+			res, err := coop.Run(context.Background(), pool, arena, src, preds, hints)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -523,22 +540,22 @@ func BenchmarkAblationZonemap(b *testing.B) {
 	col := storage.NewColumn("v", sorted)
 	z := storage.BuildZonemap(col, 4096)
 	p := scan.Predicate{Lo: benchDomain / 2, Hi: benchDomain/2 + benchDomain/200}
+	pruned := scan.NewRaw(sorted, 0, z)
 	b.Run("zonemap_clustered", func(b *testing.B) {
-		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = scan.WithZonemap(sorted, z, p, out[:0])
+			benchPass(b, pruned, []scan.Predicate{p})
 		}
 	})
 	b.Run("plain_scan", func(b *testing.B) {
 		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = scan.ScanUnrolled(sorted, p, out[:0])
+			out = scan.ScanUnrolled(sorted, p, 0, out[:0])
 		}
 	})
 	preds := predsFor(16, 0.002)
 	b.Run("zonemap_shared_q16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = scan.SharedWithZonemap(sorted, z, preds)
+			benchPass(b, pruned, preds)
 		}
 	})
 }
@@ -647,7 +664,7 @@ func BenchmarkAltPathBitmap(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = scan.ScanUnrolled(data, p, out[:0])
+			out = scan.ScanUnrolled(data, p, 0, out[:0])
 		}
 	})
 }
@@ -664,15 +681,61 @@ func BenchmarkAblationImprints(b *testing.B) {
 	b.Run("imprints_clustered", func(b *testing.B) {
 		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = imp.Select(sorted, p.Lo, p.Hi, out[:0])
+			out = imp.ScanRows(sorted, 0, len(sorted), p.Lo, p.Hi, out[:0])
 		}
 	})
 	b.Run("plain_clustered", func(b *testing.B) {
 		var out []storage.RowID
 		for i := 0; i < b.N; i++ {
-			out = scan.ScanUnrolled(sorted, p, out[:0])
+			out = scan.ScanUnrolled(sorted, p, 0, out[:0])
 		}
 	})
+}
+
+// BenchmarkImprintScan: the engine's scan path over an imprinted column,
+// 0.1% ranges at three batch widths. "runs256" is locally clustered data
+// (256-row runs, each drawn from a narrow window at a random position):
+// no 16Ki-row block is ever empty for a query, so all of the skipping
+// must happen per cache line inside surviving blocks. "sorted" prunes
+// whole blocks; "random" is the structure's documented worst case.
+func BenchmarkImprintScan(b *testing.B) {
+	const window = 4096
+	rng := rand.New(rand.NewSource(11))
+	runs := make([]storage.Value, 2*benchN)
+	for lo := 0; lo < len(runs); lo += 256 {
+		base := rng.Int31n(benchDomain - window)
+		for i := lo; i < lo+256; i++ {
+			runs[i] = base + rng.Int31n(window)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		data []storage.Value
+	}{
+		{"runs256", runs},
+		{"sorted", workload.Sorted(3, 2*benchN, benchDomain)},
+		{"random", workload.Uniform(4, 2*benchN, benchDomain)},
+	} {
+		col := storage.NewColumn("v", c.data)
+		imp, err := imprints.Build(col)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel := &exec.Relation{Column: col, Imprints: imp}
+		for _, q := range []int{1, 16, 64} {
+			preds := workload.Batch(5, q, 0.001, benchDomain)
+			b.Run(c.name+"/q="+strconv.Itoa(q), func(b *testing.B) {
+				opt := exec.Options{Arena: rt.NewArena(0, nil)}
+				for i := 0; i < b.N; i++ {
+					res, err := exec.RunScan(context.Background(), rel, preds, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res.Release()
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkAblationFetchOrder: tuple reconstruction with rowID-sorted vs
@@ -769,14 +832,14 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 	wide := scan.Predicate{Lo: 0, Hi: benchDomain / 4}      // ~25%: estimate that said 0.1% was wrong
 	b.Run("adaptive/good_estimate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adaptive.Select(f.rel, narrow, budget); err != nil {
+			if _, err := adaptive.SelectContext(context.Background(), f.rel, narrow, budget, exec.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("adaptive/bad_estimate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adaptive.Select(f.rel, wide, budget); err != nil {
+			if _, err := adaptive.SelectContext(context.Background(), f.rel, wide, budget, exec.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

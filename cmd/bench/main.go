@@ -18,6 +18,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"fastcolumns/internal/coop"
 	"fastcolumns/internal/exec"
 	"fastcolumns/internal/fit"
 	"fastcolumns/internal/index"
@@ -312,9 +313,10 @@ func measureCompressed(cc *storage.CompressedColumn, domain int32, trials int,
 		scalarNs := median(func() {
 			_ = scan.SharedCompressedScalar(cc, preds, 0)
 		})
+		src := scan.NewPacked(cc, 0, nil)
 		batch := func() {
 			start := time.Now()
-			r, err := scan.SharedCompressedPool(pool, arena, cc, preds, 0, hints)
+			r, err := coop.Run(context.Background(), pool, arena, src, preds, hints)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -445,8 +447,9 @@ func measureSkew(data []storage.Value, domain int32, trials int) skewResult {
 	pool := rt.NewPool(workers, nil)
 	defer pool.Close()
 	arena := rt.NewArena(0, nil)
+	src := scan.NewRaw(data, 0, nil)
 	batch := func() {
-		res, err := scan.SharedPool(pool, arena, data, preds, 0, hints)
+		res, err := coop.Run(context.Background(), pool, arena, src, preds, hints)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -184,7 +184,7 @@ func measureRegretGrid(rel *exec.Relation, hist *stats.Histogram, hw model.Hardw
 		oracle := min(c.IndexNs, c.ScanNs)
 		ns := medianNs(trials, func() {
 			for _, p := range preds {
-				if _, err := adaptive.Select(rel, p, budget); err != nil {
+				if _, err := adaptive.SelectContext(context.Background(), rel, p, budget, exec.Options{}); err != nil {
 					log.Fatal(err)
 				}
 			}

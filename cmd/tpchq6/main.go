@@ -88,7 +88,10 @@ func main() {
 		})
 		// MonetDB-like: tight columnar scan, no sharing, no index.
 		out[2] = median(func() int {
-			ids := baseline.ColumnScan(l.ShipDate, p, 0)
+			ids, err := baseline.ColumnScan(context.Background(), l.ShipDate, p)
+			if err != nil {
+				log.Fatal(err)
+			}
 			_, r := q.Evaluate(l, ids)
 			return r
 		})
@@ -129,7 +132,10 @@ func main() {
 	q := tpch.Q6Low()
 	idsA, _ := rowStore.Scan(q.ShipPredicate())
 	revA, _ := q.Evaluate(l, idsA)
-	idsB := baseline.ColumnScan(l.ShipDate, q.ShipPredicate(), 0)
+	idsB, err := baseline.ColumnScan(context.Background(), l.ShipDate, q.ShipPredicate())
+	if err != nil {
+		log.Fatal(err)
+	}
 	revB, _ := q.Evaluate(l, idsB)
 	if revA != revB {
 		log.Fatalf("revenue mismatch across engines: %d vs %d", revA, revB)

@@ -3,29 +3,25 @@ package fastcolumns
 import (
 	"context"
 	"strings"
-	"time"
 
-	"fastcolumns/internal/coop"
-	"fastcolumns/internal/exec"
 	"fastcolumns/internal/model"
-	"fastcolumns/internal/obs"
-	"fastcolumns/internal/optimizer"
 	"fastcolumns/internal/scheduler"
 	"fastcolumns/internal/storage"
 )
 
-// This file wires the cooperative-scan pass manager (internal/coop) into
-// the serve path: shared-scan batches run as attachable passes, and
-// late-arriving submissions are offered to the in-flight pass when the
-// model's attach-vs-wait term says attaching at the cursor beats waiting
-// for the next batching window.
+// This file wires mid-pass attach into the serve path. Every table scan
+// already runs as a pass the engine's manager publishes; a Cooperative
+// server offers each late-arriving submission to the in-flight pass on
+// its attribute when the model's attach-vs-wait term says attaching at
+// the cursor beats waiting for the next batching window.
 
 // tryAttach is the scheduler's Attach hook: price attaching the arriving
 // query to the in-flight pass on key against waiting for the next
 // window, and admit it mid-pass when attaching wins. Runs on the
 // submitting goroutine; a false return falls back to normal batching.
 func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deliver func(scheduler.Reply)) bool {
-	prog, ok := s.coop.Progress(key)
+	passes := s.engine.passes
+	prog, ok := passes.Progress(key)
 	if !ok || prog.Blocks == 0 {
 		return false
 	}
@@ -67,7 +63,7 @@ func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deli
 	}
 	savedNs := int64((waitCost - attachCost) * 1e9)
 	hint := int(sel*float64(prog.Rows)) + 1
-	return s.coop.Attach(ctx, key, pred, sel, hint, savedNs, func(ids []storage.RowID, err error) {
+	return passes.Attach(ctx, key, pred, sel, hint, savedNs, s.maxAttach, func(ids []storage.RowID, err error) {
 		deliver(scheduler.Reply{RowIDs: ids, Err: err})
 	})
 }
@@ -87,75 +83,4 @@ func (t *Table) attachEstimate(attr string, pred Predicate) (sel, tupleSize floa
 		sel = h.EstimateRange(pred.Lo, pred.Hi)
 	}
 	return sel, float64(rel.Column.TupleSize()), true
-}
-
-// selectBatchCoop answers a batch through the cooperative pass manager
-// when APS picks the plain shared scan: the pass is published under key
-// for the duration of execution so late submissions can attach at its
-// cursor. routed reports whether the batch took the cooperative path at
-// all; when false the caller must run the normal path (and err is nil).
-// The table read lock is held across the pass, like every batch
-// execution, so merges cannot swap the column out from under attached
-// queries.
-//
-//fclint:owns — the caller receives pooled RowIDs and the Release obligation.
-func (t *Table) selectBatchCoop(ctx context.Context, key, attr string, preds []Predicate, mgr *coop.Manager) (res BatchResult, routed bool, err error) {
-	if len(preds) == 0 {
-		return BatchResult{}, false, nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rel, relErr := t.relation(attr)
-	if relErr != nil {
-		return BatchResult{}, false, nil // let the normal path report it
-	}
-	d := t.engine.opt.Decide(rel, t.hists[attr], preds)
-	// Route only the uncompressed block-scannable shared scan: the
-	// adaptive, index, bitmap, SWAR-packed, and imprint-skipping paths
-	// keep their existing executors.
-	if d.RouteAdaptive || d.Path != PathScan || d.ScanKernel != optimizer.KernelShared ||
-		rel.Compressed != nil || rel.Imprints != nil {
-		return BatchResult{}, false, nil
-	}
-	raw, rawErr := rel.Column.Raw()
-	if rawErr != nil {
-		return BatchResult{}, false, nil // column-group member: strided kernels only
-	}
-	src := coop.SliceSource{Data: raw, BlockTuples: t.engine.blockTuples, Zonemap: rel.Zonemap}
-	start := time.Now()
-	pooled, err := mgr.Run(ctx, key, src, preds, d.Selectivities, cardinalityHints(d.Selectivities, rel.Column.Len()))
-	if err != nil {
-		return BatchResult{}, true, err
-	}
-	elapsed := time.Since(start)
-	t.observeCoopBatch(attr, rel, d, elapsed)
-	return BatchResult{RowIDs: pooled.RowIDs, Decision: d, Elapsed: elapsed, pooled: pooled}, true, nil
-}
-
-// observeCoopBatch traces a cooperatively executed batch. Like the
-// adaptive path, it stays out of the drift cells: the pass also served
-// attachers and wrap-around blocks, so its wall time is not a clean
-// measurement of the predicted shared-scan cost.
-func (t *Table) observeCoopBatch(attr string, rel *exec.Relation, d Decision, elapsed time.Duration) {
-	o := t.engine.observer
-	e := obs.TraceEntry{
-		At:             time.Now(),
-		Table:          t.st.Name(),
-		Attr:           attr,
-		Q:              len(d.Selectivities),
-		N:              rel.Column.Len(),
-		TupleSize:      float64(rel.Column.TupleSize()),
-		Path:           "coop(shared)",
-		Kernel:         d.ScanKernel,
-		Forced:         d.Forced,
-		Ratio:          d.Ratio,
-		PredScanCost:   d.ScanCost,
-		PredIndexCost:  d.IndexCost,
-		PredChosenCost: d.ChosenCost,
-		Elapsed:        elapsed,
-	}
-	e.SetSelectivities(d.Selectivities)
-	o.Trace.Append(e)
-	o.Metrics.Counter("engine.coop_batches").Add(1)
-	o.Metrics.Histogram("engine.batch_ns").Record(elapsed.Nanoseconds())
 }

@@ -199,3 +199,147 @@ func TestCoopCancelledSubmitterAnsweredMidPass(t *testing.T) {
 	eng.Close()
 	waitGoroutines(t, base)
 }
+
+// slowedAttach drives the attach flow on a Cooperative server over
+// eng's table t.a: morsels are slowed by fault injection so the founding
+// pass is reliably in flight when the late query arrives. It returns
+// both replies and the server's stats.
+func slowedAttach(t *testing.T, eng *Engine, founder, late Predicate) (founderRep, lateRep Reply, st ServerStats) {
+	t.Helper()
+	srv := eng.Serve(ServeOptions{Window: time.Millisecond, Cooperative: true})
+	defer srv.Close()
+	deactivate := faultinject.Activate(faultinject.New(1, faultinject.Rule{
+		Site: rt.FaultSiteMorsel, Kind: faultinject.Delay, Delay: 2 * time.Millisecond,
+	}))
+	defer deactivate()
+	founderCh, err := srv.Submit("t", "a", founder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(8 * time.Millisecond) // the window plus a few delayed units
+	lateCh, err := srv.Submit("t", "a", late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateRep, founderRep = <-lateCh, <-founderCh
+	return founderRep, lateRep, srv.ServerStats()
+}
+
+// TestCoopAttachOverCompressedColumn: cooperative passes run over the
+// packed SWAR source too — a late query is adopted mid-pass on a
+// compressed column, the decision names the SWAR kernel, and both
+// answers equal a naive filter.
+func TestCoopAttachOverCompressedColumn(t *testing.T) {
+	eng, data := coopEngine(t, 1<<19) // 16 blocks of packed codes
+	tbl, err := eng.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Compress("a"); err != nil {
+		t.Fatal(err)
+	}
+	founder, late := Predicate{Lo: 0, Hi: 999}, Predicate{Lo: 2000, Hi: 2499}
+	founderRep, lateRep, st := slowedAttach(t, eng, founder, late)
+	if founderRep.Err != nil || lateRep.Err != nil {
+		t.Fatalf("replies errored: founder=%v late=%v", founderRep.Err, lateRep.Err)
+	}
+	if !equalIDs(founderRep.RowIDs, refRowIDs(data, founder)) {
+		t.Fatal("founder rows differ from a naive filter")
+	}
+	if !equalIDs(lateRep.RowIDs, refRowIDs(data, late)) {
+		t.Fatal("attached query's rows differ from a naive filter")
+	}
+	if st.Attached == 0 {
+		t.Fatal("late query was not adopted mid-pass over the compressed column (Attached == 0)")
+	}
+	d, err := tbl.Explain("a", []Predicate{founder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Path != PathScan || d.ScanKernel != "swar" {
+		t.Fatalf("decision = %v/%q, want scan/swar", d.Path, d.ScanKernel)
+	}
+	trace := eng.Observe().Decisions
+	if last := trace[len(trace)-1]; last.Path != "coop(swar)" || last.Kernel != "swar" {
+		t.Fatalf("adopting pass traced as %q/%q, want coop(swar)/swar", last.Path, last.Kernel)
+	}
+}
+
+// driftBatches sums the drift cells' batch counts.
+func driftBatches(eng *Engine) int64 {
+	var n int64
+	for _, c := range eng.Observe().Drift.Cells {
+		n += c.Count
+	}
+	return n
+}
+
+// TestCoopDriftSeesCleanPasses: with Cooperative on, a pass nobody
+// attached to is a clean measurement and reaches the drift cells (and so
+// the refit controller); a pass that adopted a query is traced under its
+// coop(...) name and kept out of them.
+func TestCoopDriftSeesCleanPasses(t *testing.T) {
+	eng, _ := coopEngine(t, 1<<18)
+	_, _, st := slowedAttach(t, eng, Predicate{Lo: 0, Hi: 999}, Predicate{Lo: 2000, Hi: 2499})
+	if st.Attached == 0 {
+		t.Fatal("late query was not adopted mid-pass")
+	}
+	trace := eng.Observe().Decisions
+	if last := trace[len(trace)-1]; last.Path != "coop(shared)" {
+		t.Fatalf("adopting pass traced as %q, want coop(shared)", last.Path)
+	}
+	if n := driftBatches(eng); n != 0 {
+		t.Fatalf("adopting pass reached the drift cells (%d batches recorded)", n)
+	}
+	if got := eng.Observer().Metrics.Counter("engine.coop_batches").Load(); got != 1 {
+		t.Fatalf("engine.coop_batches = %d, want 1", got)
+	}
+
+	srv := eng.Serve(ServeOptions{Window: time.Hour, Cooperative: true})
+	defer srv.Close()
+	ch, err := srv.Submit("t", "a", Predicate{Lo: 0, Hi: 999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush("t", "a")
+	if r := <-ch; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	trace = eng.Observe().Decisions
+	if last := trace[len(trace)-1]; last.Path != "scan" {
+		t.Fatalf("clean pass traced as %q, want scan", last.Path)
+	}
+	if n := driftBatches(eng); n != 1 {
+		t.Fatalf("clean cooperative pass not recorded in the drift cells (%d batches)", n)
+	}
+}
+
+// TestCoopPointBatchDecidedOnce: a Cooperative server routes a batch in
+// one place, so a point batch that APS sends to the index is decided —
+// and counted — exactly once.
+func TestCoopPointBatchDecidedOnce(t *testing.T) {
+	eng, tbl := chaosEngine(t)
+	srv := eng.Serve(ServeOptions{Window: time.Hour, Cooperative: true})
+	defer srv.Close()
+	m := eng.Observer().Metrics
+	chose, decides := m.Counter("optimizer.chose.index").Load(), eng.Observe().Metrics.Histograms["optimizer.decide_ns"].Count
+	ch, err := srv.Submit("t", "a", Predicate{Lo: 7, Hi: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush("t", "a")
+	r := <-ch
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	want, _ := tbl.SelectVia(PathScan, "a", []Predicate{{Lo: 7, Hi: 7}})
+	if !equalIDs(r.RowIDs, want.RowIDs[0]) {
+		t.Fatal("point answer differs from a scan")
+	}
+	if got := m.Counter("optimizer.chose.index").Load() - chose; got != 1 {
+		t.Fatalf("optimizer.chose.index rose by %d for one point batch, want 1", got)
+	}
+	if got := eng.Observe().Metrics.Histograms["optimizer.decide_ns"].Count - decides; got != 1 {
+		t.Fatalf("optimizer.decide_ns recorded %d decisions for one batch, want 1", got)
+	}
+}

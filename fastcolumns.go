@@ -34,6 +34,7 @@ import (
 
 	"fastcolumns/internal/adaptive"
 	"fastcolumns/internal/bitmap"
+	"fastcolumns/internal/coop"
 	"fastcolumns/internal/exec"
 	"fastcolumns/internal/imprints"
 	"fastcolumns/internal/index"
@@ -138,13 +139,15 @@ type Config struct {
 type Engine struct {
 	hw          Hardware
 	opt         *optimizer.Optimizer
-	workers     int
 	fanout      int
 	blockTuples int
 	observer    *obs.Observer
 	pool        *rt.Pool
 	arena       *rt.Arena
-	refitc      *refit.Controller
+	// passes publishes every table scan while it runs, so a Cooperative
+	// server's late submissions can attach to it mid-pass.
+	passes *coop.Manager
+	refitc *refit.Controller
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -171,12 +174,12 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		hw:          hw,
 		opt:         opt,
-		workers:     cfg.Workers,
 		fanout:      fanout,
 		blockTuples: cfg.BlockTuples,
 		observer:    observer,
 		pool:        rt.NewPool(cfg.Workers, observer.Metrics),
 		arena:       rt.NewArena(cfg.ArenaRetain, observer.Metrics),
+		passes:      coop.NewManager(coop.Options{Metrics: observer.Metrics}),
 		tables:      make(map[string]*Table),
 	}
 	e.opt.SetMetrics(e.observer.Metrics)
@@ -308,9 +311,14 @@ func (t *Table) buildRelation(attr string) error {
 	if err != nil {
 		return err
 	}
-	t.rels[attr] = &exec.Relation{Column: col}
+	t.rels[attr] = &exec.Relation{Column: col, Passes: t.engine.passes, PassKey: passKey(t.st.Name(), attr)}
 	return nil
 }
+
+// passKey names one attribute's stream of batches and passes: the
+// scheduler groups submissions by it and the pass manager publishes
+// scans under it.
+func passKey(table, attr string) string { return table + "\x00" + attr }
 
 // relation returns the execution view of an attribute. Caller holds t.mu
 // (read suffices; views are created eagerly when attributes are added).
@@ -354,6 +362,10 @@ func (t *Table) CreateBitmapIndex(attr string) error {
 
 // BuildImprints attaches cache-line-granular data skipping to a
 // contiguous attribute; it shines on clustered (naturally ordered) data.
+// A scan pass first skips every block the imprints prove empty for a
+// query, then scans only the surviving cache lines inside the blocks
+// that remain. Over a Compress-ed attribute the packed kernel scans
+// surviving blocks whole: there the imprints prune at block grain only.
 func (t *Table) BuildImprints(attr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -477,13 +489,13 @@ func (t *Table) SelectBatchContext(ctx context.Context, attr string, preds []Pre
 		// whichever way the estimates were wrong.
 		return t.selectBatchAdaptive(ctx, attr, rel, d, preds)
 	}
-	opt := t.execOptions(rel)
+	opt := t.execOptions()
 	opt.Hints = cardinalityHints(d.Selectivities, rel.Column.Len())
 	res, err := exec.Run(ctx, rel, d.Path, preds, opt)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	t.observeBatch(attr, rel, d, res.Elapsed)
+	t.observeBatch(attr, rel, d, res.Elapsed, res.Attached)
 	return BatchResult{RowIDs: res.RowIDs, Decision: d, Elapsed: res.Elapsed, pooled: res.Pooled}, nil
 }
 
@@ -500,14 +512,14 @@ func (t *Table) selectBatchAdaptive(ctx context.Context, attr string, rel *exec.
 		if err := ctx.Err(); err != nil {
 			return BatchResult{}, err
 		}
-		res, err := adaptive.Select(rel, p, budget)
+		res, err := adaptive.SelectContext(ctx, rel, p, budget, t.execOptions())
 		if err != nil {
 			return BatchResult{}, err
 		}
 		rows[i] = res.RowIDs
 	}
 	elapsed := time.Since(start)
-	t.observeBatch(attr, rel, d, elapsed)
+	t.observeBatch(attr, rel, d, elapsed, 0)
 	return BatchResult{RowIDs: rows, Decision: d, Elapsed: elapsed}, nil
 }
 
@@ -528,8 +540,9 @@ func cardinalityHints(sels []float64, n int) []int {
 // observeBatch folds one executed batch into the engine's observability
 // layer: a decision-trace entry, the drift accumulator (predicted cost of
 // the chosen path vs measured wall time), and the batch latency
-// histogram. Everything here is allocation-free on the warm path.
-func (t *Table) observeBatch(attr string, rel *exec.Relation, d Decision, elapsed time.Duration) {
+// histogram. attached is the number of queries a scan pass adopted
+// mid-flight. Everything here is allocation-free on the warm path.
+func (t *Table) observeBatch(attr string, rel *exec.Relation, d Decision, elapsed time.Duration, attached int) {
 	o := t.engine.observer
 	e := obs.TraceEntry{
 		At:             time.Now(),
@@ -560,6 +573,21 @@ func (t *Table) observeBatch(attr string, rel *exec.Relation, d Decision, elapse
 		o.Metrics.Histogram("engine.batch_ns").Record(elapsed.Nanoseconds())
 		return
 	}
+	if attached > 0 {
+		// The pass also served the queries it adopted and their
+		// wrap-around ranges, so its wall time is not a clean measurement
+		// of the predicted shared-scan cost: trace it under its own name
+		// and keep it out of the drift cells. A pass nobody attached to
+		// is the plain shared scan and is recorded below.
+		e.Path = "coop(" + optimizer.KernelShared + ")"
+		if d.ScanKernel == optimizer.KernelSWAR {
+			e.Path = "coop(" + optimizer.KernelSWAR + ")"
+		}
+		o.Trace.Append(e)
+		o.Metrics.Counter("engine.coop_batches").Add(1)
+		o.Metrics.Histogram("engine.batch_ns").Record(elapsed.Nanoseconds())
+		return
+	}
 	o.Trace.Append(e)
 	// Drift cells key on the kernel-aware path name (e.g. "scan(swar)"
 	// over a compressed twin), so a stale packed fit flags separately.
@@ -587,7 +615,7 @@ func (t *Table) CountContext(ctx context.Context, attr string, preds []Predicate
 		return nil, Decision{}, err
 	}
 	d := t.engine.opt.Decide(rel, t.hists[attr], preds)
-	counts, err := exec.RunCount(ctx, rel, d.Path, preds, t.execOptions(rel))
+	counts, err := exec.RunCount(ctx, rel, d.Path, preds, t.execOptions())
 	if err != nil {
 		return nil, Decision{}, err
 	}
@@ -622,19 +650,32 @@ func (t *Table) SelectVia(path Path, attr string, preds []Predicate) (BatchResul
 	return t.SelectViaContext(context.Background(), path, attr, preds)
 }
 
-// SelectViaContext is SelectVia with a deadline/cancellation context. It
-// is also the server's safe-fallback entry: a batch that fails on the
-// optimizer's chosen path is retried once through PathScan here.
+// SelectViaContext is SelectVia with a deadline/cancellation context. A
+// forced scan takes the best source the attribute offers (packed codes,
+// pruners), exactly as an APS-chosen one would.
 //
 //fclint:owns — the caller receives pooled RowIDs and the Release obligation.
 func (t *Table) SelectViaContext(ctx context.Context, path Path, attr string, preds []Predicate) (BatchResult, error) {
+	return t.selectVia(ctx, path, attr, preds, false)
+}
+
+// selectVia answers the batch through path. baseOnly is the server's
+// safe fallback: the scan runs over the base column alone — no
+// compressed twin, no pruner, unpublished — so it needs no auxiliary
+// structure (one of which may be what just failed) to be correct.
+//
+//fclint:owns — the caller receives pooled RowIDs and the Release obligation.
+func (t *Table) selectVia(ctx context.Context, path Path, attr string, preds []Predicate, baseOnly bool) (BatchResult, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rel, err := t.relation(attr)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	res, err := exec.Run(ctx, rel, path, preds, t.execOptions(rel))
+	if baseOnly {
+		rel = &exec.Relation{Column: rel.Column}
+	}
+	res, err := exec.Run(ctx, rel, path, preds, t.execOptions())
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -646,16 +687,12 @@ func (t *Table) SelectViaContext(ctx context.Context, path Path, attr string, pr
 	}, nil
 }
 
-func (t *Table) execOptions(rel *exec.Relation) exec.Options {
+func (t *Table) execOptions() exec.Options {
 	return exec.Options{
-		Workers:          t.engine.workers,
-		BlockTuples:      t.engine.blockTuples,
-		PreferCompressed: rel.Compressed != nil,
-		UseZonemap:       rel.Zonemap != nil,
-		UseImprints:      rel.Imprints != nil,
-		Metrics:          t.engine.observer.Metrics,
-		Pool:             t.engine.pool,
-		Arena:            t.engine.arena,
+		BlockTuples: t.engine.blockTuples,
+		Metrics:     t.engine.observer.Metrics,
+		Pool:        t.engine.pool,
+		Arena:       t.engine.arena,
 	}
 }
 

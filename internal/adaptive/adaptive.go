@@ -10,6 +10,7 @@
 package adaptive
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -49,10 +50,14 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Select answers one range predicate adaptively. budget is the maximum
-// result cardinality the index path may produce before morphing; pass
-// BudgetFromModel to derive it from the machine's break-even point.
-func Select(rel *exec.Relation, p scan.Predicate, budget int) (Result, error) {
+// SelectContext answers one range predicate adaptively. budget is the
+// maximum result cardinality the index path may produce before
+// morphing; pass BudgetFromModel to derive it from the machine's
+// break-even point. opt supplies the pool and arena the restart scan
+// runs on; ctx cancels it between scan units.
+//
+//fclint:owns — a morphed select hands the restart scan's result buffer to the caller.
+func SelectContext(ctx context.Context, rel *exec.Relation, p scan.Predicate, budget int, opt exec.Options) (Result, error) {
 	if rel.Index == nil {
 		return Result{}, errors.New("adaptive: relation has no secondary index")
 	}
@@ -69,14 +74,12 @@ func Select(rel *exec.Relation, p scan.Predicate, budget int) (Result, error) {
 	// is discarded (the original Smooth Scan morphs in place; a restart
 	// keeps the operator simple and its waste is capped by budget).
 	wasted := len(ids)
-	var out []storage.RowID
-	if raw, err := rel.Column.Raw(); err == nil {
-		out = scan.Parallel(raw, p, 0)
-	} else {
-		out = scan.ScanColumn(rel.Column, p, 0, nil)
+	res, err := exec.RunScan(ctx, rel, []scan.Predicate{p}, opt)
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
-		RowIDs:  out,
+		RowIDs:  res.RowIDs[0],
 		Outcome: MorphedToScan,
 		Wasted:  wasted,
 		Elapsed: time.Since(start),

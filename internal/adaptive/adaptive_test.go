@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func equalIDs(a, b []storage.RowID) bool {
 func TestSelectFinishesAsIndexWithinBudget(t *testing.T) {
 	rel, data := relation(t, 50000, 1<<20)
 	p := scan.Predicate{Lo: 100, Hi: 100 + 1<<12} // ~0.4% selectivity
-	res, err := Select(rel, p, 10000)
+	res, err := SelectContext(context.Background(), rel, p, 10000, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSelectMorphsOnBadEstimate(t *testing.T) {
 	rel, data := relation(t, 50000, 1<<20)
 	p := scan.Predicate{Lo: 0, Hi: 1 << 19} // ~50% selectivity
 	budget := 200                           // as if the estimate said ~0.4%
-	res, err := Select(rel, p, budget)
+	res, err := SelectContext(context.Background(), rel, p, budget, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestSelectBudgetBoundary(t *testing.T) {
 	rel, data := relation(t, 5000, 100)
 	p := scan.Predicate{Lo: 7, Hi: 7}
 	want := refIDs(data, p)
-	res, err := Select(rel, p, len(want))
+	res, err := SelectContext(context.Background(), rel, p, len(want), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSelectBudgetBoundary(t *testing.T) {
 
 func TestSelectWithoutIndex(t *testing.T) {
 	rel := &exec.Relation{Column: storage.NewColumn("v", []storage.Value{1})}
-	if _, err := Select(rel, scan.Predicate{Lo: 0, Hi: 5}, 10); err == nil {
+	if _, err := SelectContext(context.Background(), rel, scan.Predicate{Lo: 0, Hi: 5}, 10, exec.Options{}); err == nil {
 		t.Fatal("missing index accepted")
 	}
 }

@@ -15,7 +15,11 @@
 package baseline
 
 import (
+	"context"
+
+	"fastcolumns/internal/coop"
 	"fastcolumns/internal/index"
+	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/scan"
 	"fastcolumns/internal/storage"
 )
@@ -105,7 +109,14 @@ func (r *RowStore) IndexSelect(p scan.Predicate) (ids []storage.RowID, sink stor
 func (r *RowStore) HasIndex() bool { return r.tree != nil }
 
 // ColumnScan is the MonetDB-like access path: a tight multi-core scan of
-// just the predicated column, query-at-a-time (no sharing, no index).
-func ColumnScan(values []storage.Value, p scan.Predicate, workers int) []storage.RowID {
-	return scan.Parallel(values, p, workers)
+// just the predicated column, query-at-a-time (no sharing, no index) —
+// a single-query pass over the raw source on the default pool.
+//
+//fclint:owns — the pass ran with a nil arena, so the rowIDs are heap-backed and the caller's.
+func ColumnScan(ctx context.Context, values []storage.Value, p scan.Predicate) ([]storage.RowID, error) {
+	res, err := coop.Run(ctx, rt.Default(), nil, scan.NewRaw(values, 0, nil), []scan.Predicate{p}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.RowIDs[0], nil
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -82,7 +83,11 @@ func TestRowStoreWithoutIndexReturnsNil(t *testing.T) {
 func TestColumnScanCorrect(t *testing.T) {
 	data := values(4, 50000, 10000)
 	p := scan.Predicate{Lo: 0, Hi: 500}
-	if !equalIDs(ColumnScan(data, p, 4), ref(data, p)) {
+	got, err := ColumnScan(context.Background(), data, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalIDs(got, ref(data, p)) {
 		t.Fatal("column scan disagrees with reference")
 	}
 }

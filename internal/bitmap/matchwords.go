@@ -6,17 +6,6 @@ import (
 	"fastcolumns/internal/storage"
 )
 
-// Match bitmaps: the SWAR scan kernels emit their results as plain
-// []uint64 bitmaps (bit i = row base+i qualifies) and materialize rowIDs
-// late, so the per-tuple work of the scan is branch-free word arithmetic
-// and the per-match work — the only part that scales with selectivity —
-// is the position extraction below. The helpers mirror Index.Select's
-// trailing-zero walk but operate on caller-owned words, which lets the
-// runtime arena pool them as a size class of their own.
-
-// Words returns the word count a match bitmap over n rows needs.
-func Words(n int) int { return (n + 63) / 64 }
-
 // AppendWord appends the set positions of one bitmap word, offset by
 // base, to out in ascending order.
 func AppendWord(word uint64, base int, out []storage.RowID) []storage.RowID {
@@ -25,37 +14,4 @@ func AppendWord(word uint64, base int, out []storage.RowID) []storage.RowID {
 		word &= word - 1
 	}
 	return out
-}
-
-// AppendRows materializes a match bitmap: the positions of the first
-// nbits set bits of bm, offset by base, append to out in ascending
-// rowID order. Bits at nbits and beyond in the final word are ignored,
-// so kernels may leave garbage past the logical end of a pooled buffer.
-func AppendRows(bm []uint64, nbits, base int, out []storage.RowID) []storage.RowID {
-	full := nbits / 64
-	for w := 0; w < full; w++ {
-		if word := bm[w]; word != 0 {
-			out = AppendWord(word, base+w*64, out)
-		}
-	}
-	if rem := nbits % 64; rem != 0 {
-		if word := bm[full] & (1<<uint(rem) - 1); word != 0 {
-			out = AppendWord(word, base+full*64, out)
-		}
-	}
-	return out
-}
-
-// CountRows returns the number of set bits among the first nbits of bm
-// (a popcount, so counting costs no materialization).
-func CountRows(bm []uint64, nbits int) int {
-	total := 0
-	full := nbits / 64
-	for w := 0; w < full; w++ {
-		total += bits.OnesCount64(bm[w])
-	}
-	if rem := nbits % 64; rem != 0 {
-		total += bits.OnesCount64(bm[full] & (1<<uint(rem) - 1))
-	}
-	return total
 }

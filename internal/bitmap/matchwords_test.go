@@ -1,7 +1,6 @@
 package bitmap
 
 import (
-	"math/rand"
 	"testing"
 
 	"fastcolumns/internal/storage"
@@ -18,15 +17,6 @@ func refRows(bm []uint64, nbits, base int) []storage.RowID {
 	return out
 }
 
-func TestWordsCount(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 1, 63: 1, 64: 1, 65: 2, 128: 2, 129: 3}
-	for n, want := range cases {
-		if got := Words(n); got != want {
-			t.Errorf("Words(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 // TestAppendWordMatchesReference: every set bit becomes base+bit, in
 // ascending order, including the word extremes.
 func TestAppendWordMatchesReference(t *testing.T) {
@@ -41,37 +31,6 @@ func TestAppendWordMatchesReference(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("AppendWord(%#x)[%d] = %d, want %d", w, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestAppendRowsMasksTail: bits at or past nbits must not materialize,
-// whatever garbage the tail word holds past the boundary.
-func TestAppendRowsMasksTail(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, nbits := range []int{0, 1, 5, 63, 64, 65, 100, 127, 128, 300} {
-		bm := make([]uint64, Words(nbits))
-		for i := range bm {
-			bm[i] = rng.Uint64()
-		}
-		if n := len(bm); n > 0 {
-			bm[n-1] |= ^uint64(0) << uint(nbits%64) // poison past-the-end bits
-			if nbits%64 == 0 {
-				bm[n-1] = rng.Uint64()
-			}
-		}
-		got := AppendRows(bm, nbits, 7, nil)
-		want := refRows(bm, nbits, 7)
-		if len(got) != len(want) {
-			t.Fatalf("nbits=%d: %d rows, want %d", nbits, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("nbits=%d: row[%d] = %d, want %d", nbits, i, got[i], want[i])
-			}
-		}
-		if c := CountRows(bm, nbits); c != len(want) {
-			t.Errorf("CountRows(nbits=%d) = %d, want %d", nbits, c, len(want))
 		}
 	}
 }

@@ -1,20 +1,27 @@
-// Package coop implements cooperative shared scans: a pass manager that
-// tracks the in-flight shared pass over each column so late-arriving
-// queries can attach mid-pass instead of waiting for the next batching
-// window ("From Cooperative Scans to Predictive Buffer Management").
+// Package coop is the shared-scan pass driver: every shared scan in the
+// engine — a plain batch, a cooperative batch, the adaptive path's
+// restart scan — is one pass over a Source, and this package is the one
+// place a source's blocks are walked ("From Cooperative Scans to
+// Predictive Buffer Management": one scan manager owns every pass).
 //
-// One pass is a circular schedule over the column's blocks. Every
-// admitted query — pass founders and mid-pass attachers alike — holds a
-// remaining-block set, and block dispatch is relevance-driven: blocks
-// are claimed from a priority structure keyed by live-query demand, so
-// the block wanted by the most queries is served while its audience is
-// largest, blocks nobody needs (zonemap-pruned for every query, or
-// wanted only by since-cancelled queries) are never scanned, and an
-// attacher's missed prefix is served by a wrap-around continuation once
-// its demand is all that remains. The invariant the differential and
-// fuzz suites pin: each query sees each non-pruned block exactly once —
-// entries enter a block's need-set exactly once at admission and the
-// whole set is removed exactly once when the block is claimed.
+// A pass cuts the source's blocks into ranges and the founding batch
+// into query chunks, and dispatches the (range × chunk) grid as morsels
+// on the runtime pool. Each unit walks its range block by block so
+// every predicate visits a cache-resident block before it is evicted,
+// appending into a per-(range, query) arena cell that only that unit
+// touches; cells concatenate in range order, so results are in rowID
+// order by construction. A pass with no attachers is exactly that grid
+// — the plain shared scan.
+//
+// A pass published under a key is attachable: a late query joins every
+// range not yet claimed (sharing those blocks with the founders while
+// they are resident) and the ranges it missed are re-dispatched as
+// wrap-around units once the founders' grid has drained. Its cells slot
+// into the same per-range positions, so it too gets rowID order with no
+// sort. The invariant the differential and fuzz suites pin: each query
+// sees each non-pruned block exactly once — a query enters a range's
+// rider list exactly once at admission, and a list is taken exactly
+// once, by the unit that claims the range.
 package coop
 
 import (
@@ -22,8 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fastcolumns/internal/faultinject"
 	"fastcolumns/internal/obs"
@@ -38,36 +45,40 @@ import (
 const FaultSiteAttach = "coop.attach"
 
 // DefaultMaxAttach bounds mid-pass attachers per pass: each attacher
-// extends the pass with its wrap-around prefix, so an uncapped stream
+// extends the pass with its wrap-around ranges, so an uncapped stream
 // of attachers under heavy traffic could keep one pass alive (and its
 // founders waiting) indefinitely.
 const DefaultMaxAttach = 64
 
+// morselsPerWorker controls unit granularity: the relation is cut into
+// about 8 block-ranges per worker, so the work-stealing pool has enough
+// units to rebalance a straggling high-selectivity predicate without
+// paying per-block dispatch overhead. Each unit still walks its range
+// block by block, so cache residency of the shared scan is untouched —
+// range size only sets the stealing, attach and cancellation
+// granularity.
+const morselsPerWorker = 8
+
+// errAborted answers attachers stranded by a pass that panicked.
+var errAborted = errors.New("coop: pass aborted")
+
 // Options configures a Manager.
 type Options struct {
-	// Arena recycles per-query result buffers; nil falls back to plain
-	// allocation.
-	Arena *rt.Arena
 	// Metrics, when non-nil, receives the coop.* instruments.
 	Metrics *obs.Registry
-	// Workers is the number of goroutines scanning blocks per pass
-	// (clamped to the pass's block count; <= 0 means 1).
-	Workers int
-	// MaxAttach caps mid-pass attachers per pass (<= 0: DefaultMaxAttach).
-	MaxAttach int
-	// BlockHook, when non-nil, runs after each block scan, before the
-	// block is accounted done — the deterministic test seam for
-	// attaching at exact pass offsets.
+	// BlockHook, when non-nil, runs after each block scan — the
+	// deterministic test seam for attaching at exact pass offsets.
 	BlockHook func(key string, block int)
 }
 
-// Manager tracks the in-flight cooperative pass per key (one key per
-// table+attribute) and admits mid-pass attachers to it.
+// Manager publishes in-flight passes per key (one key per
+// table+attribute) and admits mid-pass attachers to them. A pass run
+// under the empty key is unpublished: nothing can attach to it.
 type Manager struct {
-	arena     *rt.Arena
-	workers   int
-	maxAttach int
 	blockHook func(string, int)
+	// sought is set once anyone asks for a pass to attach to (Progress
+	// or Attach): until then units have nobody to yield to.
+	sought atomic.Bool
 
 	passes         *obs.Counter
 	attaches       *obs.Counter
@@ -83,19 +94,7 @@ type Manager struct {
 
 // NewManager builds a pass manager.
 func NewManager(opt Options) *Manager {
-	m := &Manager{
-		arena:     opt.Arena,
-		workers:   opt.Workers,
-		maxAttach: opt.MaxAttach,
-		blockHook: opt.BlockHook,
-		live:      make(map[string]*pass),
-	}
-	if m.workers < 1 {
-		m.workers = 1
-	}
-	if m.maxAttach <= 0 {
-		m.maxAttach = DefaultMaxAttach
-	}
+	m := &Manager{blockHook: opt.BlockHook, live: make(map[string]*pass)}
 	if opt.Metrics != nil {
 		m.passes = opt.Metrics.Counter("coop.passes")
 		m.attaches = opt.Metrics.Counter("coop.attach")
@@ -108,12 +107,19 @@ func NewManager(opt Options) *Manager {
 	return m
 }
 
+// seek records that somebody wants to attach to this manager's passes.
+func (m *Manager) seek() {
+	if !m.sought.Load() {
+		m.sought.Store(true)
+	}
+}
+
 // Progress is the observable state of an in-flight pass — the inputs
 // the attach-vs-wait cost term (model.PassState) needs.
 type Progress struct {
 	// Rows and Blocks describe the pass's source.
 	Rows, Blocks int
-	// Claimed counts distinct blocks claimed at least once — the pass
+	// Claimed counts blocks whose range a unit has claimed — the pass
 	// cursor, as a count (Claimed/Blocks is the model's FracDone).
 	Claimed int
 	// Live is the number of unfinished, uncancelled queries on the pass;
@@ -127,561 +133,643 @@ type Progress struct {
 // Progress reports the in-flight pass on key; ok is false when no
 // attachable pass exists.
 func (m *Manager) Progress(key string) (Progress, bool) {
+	m.seek()
 	m.mu.Lock()
 	p := m.live[key]
-	m.mu.Unlock()
 	if p == nil {
+		m.mu.Unlock()
 		return Progress{}, false
 	}
+	// The pass lock is taken before the registry lock is dropped, so a
+	// pass a caller can see is never recycled under it: retire
+	// unpublishes first, then takes the pass lock once more to wait such
+	// callers out. (Attach follows the same order.)
 	p.mu.Lock()
+	m.mu.Unlock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return Progress{}, false
 	}
 	return Progress{
 		Rows:     p.src.Rows(),
-		Blocks:   len(p.need),
-		Claimed:  p.claimedN,
+		Blocks:   p.nb,
+		Claimed:  min(p.claimed*p.rangeBlocks, p.nb),
 		Live:     p.live,
 		LiveSel:  p.liveSel,
-		Attached: p.attached,
+		Attached: len(p.attachers),
 	}, true
 }
 
-// passQuery is one query riding a pass: a founder (deliver == nil;
-// results are assembled by Run) or a mid-pass attacher (deliver is
-// called exactly once with its sorted rowIDs or an error).
-type passQuery struct {
-	pred    scan.Predicate
-	ctx     context.Context
+// query is what a unit needs to scan one predicate.
+type query struct {
+	pred  scan.Predicate // as submitted: what Prune checks
+	bound scan.Predicate // src.Bind(pred): what ScanBlock evaluates
+	hint  int            // expected result rows, sizes the cells
+}
+
+// attacher is one query adopted mid-pass. deliver is called exactly once
+// (rowIDs in order, the context's error at a reap, or the pass failure).
+type attacher struct {
+	query
 	sel     float64
+	ctx     context.Context
 	deliver func([]storage.RowID, error)
+	// cells[r] accumulates range r's matches; the unit riding the query
+	// over r owns the slot while it scans.
+	cells []*rt.Buf
 
-	// remaining, finished, dropped are guarded by pass.mu.
+	// remaining counts ranges still to scan; guarded by pass.mu.
 	remaining int
-	finished  bool
-	dropped   bool
-
-	// mu guards the buffer across concurrent block scans (two workers
-	// may scan different blocks for the same query) and against eager
-	// release on cancellation.
-	mu        sync.Mutex
-	cancelled bool
-	buf       *rt.Buf
+	// settled marks the query out of the live set: answered, reaped or
+	// stranded, with its one deliver call made or about to be. Written
+	// under pass.mu; units also read it lock-free to stop scanning for
+	// a query that no longer wants rows.
+	settled atomic.Bool
 }
 
-// takeBuf detaches the query's buffer (marking the query cancelled for
-// any in-flight scan that still holds it in a claim snapshot) and
-// returns it; nil if already taken.
-func (q *passQuery) takeBuf() *rt.Buf {
-	q.mu.Lock()
-	q.cancelled = true
-	b := q.buf
-	q.buf = nil
-	q.mu.Unlock()
-	return b
+// rangeState is one block-range's attach bookkeeping, guarded by pass.mu.
+type rangeState struct {
+	// open: a unit that has not yet claimed this range exists in the
+	// current round, so a query admitted now can still ride it.
+	open bool
+	// running: the unit carrying this range's riders is scanning.
+	running bool
+	// joined rides the range's next claim; missed arrived after the
+	// claim and is served by a wrap-around unit next round.
+	joined, missed []*attacher
 }
 
-// completeOK sorts the query's accumulated rowIDs (blocks are scanned
-// in demand order, so the per-block ascending runs concatenate out of
-// order) and delivers them to an attacher; founders' buffers stay put
-// for Run to assemble.
-func (q *passQuery) completeOK() {
-	q.mu.Lock()
-	buf := q.buf
-	if buf != nil {
-		slices.Sort(buf.IDs)
-	}
-	q.mu.Unlock()
-	if q.deliver != nil && buf != nil {
-		q.deliver(buf.IDs, nil)
-	}
-}
-
-// heapEntry is one (block, demand-at-push) candidate in the dispatch
-// heap. Entries are never updated in place: every demand change pushes
-// a fresh entry, and a popped entry is valid only while its recorded
-// demand still matches the block's live demand (lazy invalidation).
-type heapEntry struct{ block, demand int }
-
-// heapAbove orders the dispatch heap: higher demand first (serve a
-// block while its audience is largest), lower block index on ties (the
-// sequential order the prefetcher likes).
-func heapAbove(a, b heapEntry) bool {
-	if a.demand != b.demand {
-		return a.demand > b.demand
-	}
-	return a.block < b.block
-}
-
-// pass is one in-flight cooperative scan over a source.
+// pass is one shared scan over a source. It implements runtime.Job:
+// morsel i of round 0 is query chunk (i mod nc) over range (i div nc);
+// morsel i of a wrap-around round is range wrap[i] for its riders only.
 type pass struct {
-	m    *Manager
-	key  string
-	src  Source
-	hook func(string, int)
+	m     *Manager
+	key   string
+	src   Source
+	ctx   context.Context // the founders' batch context
+	pool  *rt.Pool
+	arena *rt.Arena
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// need[b] holds the queries still needing block b; demand[b] is
-	// len(need[b]) maintained incrementally, and heap holds the lazily
-	// invalidated dispatch candidates.
-	need   [][]*passQuery
-	demand []int
-	heap   []heapEntry
-	// claimed[b] marks blocks claimed at least once; a re-claim is a
-	// wrap-around continuation serving attachers' missed prefixes.
-	claimed  []bool
-	claimedN int
-	pending  int // query-block pairs awaiting claim
-	inflight int // blocks being scanned right now
-	queries  []*passQuery
-	attached int
-	live     int
-	liveSel  float64
-	wraps    int64
-	failed   error
-	closed   bool
+	nb, rangeBlocks int // source blocks; blocks per range
+	nr, nc, chunk   int // ranges × query chunks; founders per chunk
+	slack           int
+	founders        []query
+	cells           []*rt.Buf // founders' cells: [qi*nr + r]
+	round           int       // written between dispatches only
+	wrap            []int     // this wrap-around round's ranges
+
+	// failed/err carry the first unit-level error across the dispatch
+	// barrier: the CAS winner writes err, readers load failed first.
+	failed atomic.Bool
+	err    error
+
+	mu         sync.Mutex
+	ranges     []rangeState
+	attachers  []*attacher
+	claimed    int // ranges claimed in round 0: the pass cursor
+	live       int
+	liveSel    float64
+	founderSel float64
+	closed     bool
+
+	wrapBlocks, skipped atomic.Int64
 }
 
-func (p *pass) heapPush(e heapEntry) {
-	p.heap = append(p.heap, e)
-	i := len(p.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapAbove(p.heap[i], p.heap[parent]) {
-			break
-		}
-		p.heap[i], p.heap[parent] = p.heap[parent], p.heap[i]
-		i = parent
-	}
-}
+var passPool = sync.Pool{New: func() any { return new(pass) }}
 
-func (p *pass) heapPop() (heapEntry, bool) {
-	if len(p.heap) == 0 {
-		return heapEntry{}, false
-	}
-	top := p.heap[0]
-	last := len(p.heap) - 1
-	p.heap[0] = p.heap[last]
-	p.heap = p.heap[:last]
-	i := 0
-	for {
-		l, r, best := 2*i+1, 2*i+2, i
-		if l < len(p.heap) && heapAbove(p.heap[l], p.heap[best]) {
-			best = l
-		}
-		if r < len(p.heap) && heapAbove(p.heap[r], p.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		p.heap[i], p.heap[best] = p.heap[best], p.heap[i]
-		i = best
-	}
-	return top, true
-}
-
-// admitLocked inserts q's need entries for every block its predicate
-// cannot prune and reports whether the query finished on the spot
-// (everything pruned — the caller delivers the empty result). Caller
-// holds p.mu, or the pass is not yet published.
-func (p *pass) admitLocked(q *passQuery) (finished bool) {
-	added := 0
-	for b := range p.need {
-		if p.src.Prune(b, q.pred) {
-			continue
-		}
-		p.need[b] = append(p.need[b], q)
-		p.demand[b]++
-		p.heapPush(heapEntry{block: b, demand: p.demand[b]})
-		added++
-	}
-	p.queries = append(p.queries, q)
-	if added == 0 {
-		q.finished = true
-		return true
-	}
-	q.remaining = added
-	p.pending += added
-	p.live++
-	p.liveSel += q.sel
-	return false
-}
-
-// claimLocked pops the highest-demand block with live entries, takes
-// its whole need-set, and marks it in flight. Stale heap entries (the
-// block's demand changed since the push) are discarded. Caller holds
-// p.mu.
-func (p *pass) claimLocked() (int, []*passQuery, bool) {
-	if p.failed != nil {
-		return 0, nil, false
-	}
-	for {
-		e, ok := p.heapPop()
-		if !ok {
-			return 0, nil, false
-		}
-		if e.demand != p.demand[e.block] || len(p.need[e.block]) == 0 {
-			continue
-		}
-		b := e.block
-		qs := p.need[b]
-		p.need[b] = nil
-		p.demand[b] = 0
-		p.pending -= len(qs)
-		p.inflight++
-		if p.claimed[b] {
-			p.wraps++
-			cadd(p.m.wrapBlocks, 1)
-		} else {
-			p.claimed[b] = true
-			p.claimedN++
-		}
-		return b, qs, true
+// fail records a unit's error; the first one wins.
+func (p *pass) fail(err error) {
+	if p.failed.CompareAndSwap(false, true) {
+		p.err = err
 	}
 }
 
-// reapLocked drops queries whose context died from the live set: their
-// remaining need entries are removed (demand decremented, so blocks
-// only they wanted will never be scheduled) and they are returned for
-// delivery and eager buffer release outside the lock. Runs at every
-// morsel boundary. Caller holds p.mu.
-func (p *pass) reapLocked() []*passQuery {
-	var drops []*passQuery
-	for _, q := range p.queries {
-		if q.finished || q.dropped || q.ctx == nil || q.ctx.Err() == nil {
-			continue
-		}
-		q.dropped = true
-		for b := range p.need {
-			for i, nq := range p.need[b] {
-				if nq != q {
-					continue
-				}
-				p.need[b] = append(p.need[b][:i], p.need[b][i+1:]...)
-				p.demand[b]--
-				p.pending--
-				if p.demand[b] > 0 {
-					p.heapPush(heapEntry{block: b, demand: p.demand[b]})
-				}
-				break
-			}
-		}
-		p.live--
-		p.liveSel -= q.sel
-		cadd(p.m.cancelDropped, 1)
-		drops = append(drops, q)
+// dead tolerates nil contexts (direct callers may pass none).
+func dead(ctx context.Context) bool { return ctx != nil && ctx.Err() != nil }
+
+// newPass checks a pass out and sizes its unit grid for the pool's
+// worker count.
+func newPass(ctx context.Context, m *Manager, key string, pool *rt.Pool, arena *rt.Arena,
+	src Source, preds []scan.Predicate, hints []int) *pass {
+	p := passPool.Get().(*pass)
+	p.m, p.key, p.src, p.ctx, p.pool, p.arena = m, key, src, ctx, pool, arena
+	p.nb, p.slack = src.Blocks(), src.Slack()
+	workers, q := pool.Workers(), len(preds)
+	p.rangeBlocks = max(p.nb/(morselsPerWorker*workers), 1)
+	p.nr = (p.nb + p.rangeBlocks - 1) / p.rangeBlocks
+	// With too few ranges to keep the workers busy (small relation,
+	// many queries), split the query batch as well.
+	p.nc, p.chunk = 1, q
+	if q > 1 && p.nr > 0 && p.nr < 2*workers {
+		want := min((2*workers+p.nr-1)/p.nr, q)
+		p.chunk = (q + want - 1) / want
+		p.nc = (q + p.chunk - 1) / p.chunk
 	}
-	return drops
+	rows := float64(max(src.Rows(), 1))
+	for i, pr := range preds {
+		f := query{pred: pr, bound: src.Bind(pr)}
+		if i < len(hints) {
+			f.hint = hints[i]
+			p.founderSel += float64(f.hint) / rows
+		}
+		p.founders = append(p.founders, f)
+	}
+	p.live, p.liveSel = q, p.founderSel
+	p.cells = resize(p.cells, p.nr*q)
+	p.ranges = resize(p.ranges, p.nr)
+	for r := range p.ranges {
+		p.ranges[r].open = true
+	}
+	return p
 }
 
-// closeLocked seals the pass: counts the blocks demand-driven dispatch
-// never had to scan, fails any query the pass cannot finish (only
-// possible after an injected fault), and wakes parked workers so they
-// exit. Caller holds p.mu.
-func (p *pass) closeLocked() []*passQuery {
-	p.closed = true
-	skipped := 0
-	for b := range p.claimed {
-		if !p.claimed[b] {
-			skipped++
-		}
+// resize returns s with length n and every element zeroed, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if skipped > 0 {
-		cadd(p.m.demandSkipped, int64(skipped))
-	}
-	var fails []*passQuery
-	if p.failed == nil && p.pending > 0 {
-		p.failed = errors.New("coop: pass closed with unserved queries")
-	}
-	for _, q := range p.queries {
-		if q.finished || q.dropped {
-			continue
-		}
-		q.dropped = true
-		p.live--
-		p.liveSel -= q.sel
-		fails = append(fails, q)
-	}
-	p.cond.Broadcast()
-	return fails
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// deliverDrops answers reaped queries with their context's error and
-// hands their buffers straight back to the arena — a cancelled query
-// must stop costing morsel work and memory immediately, not when the
-// pass ends.
-func (p *pass) deliverDrops(drops []*passQuery) {
-	for _, q := range drops {
-		err := context.Canceled
-		if q.ctx != nil && q.ctx.Err() != nil {
-			err = q.ctx.Err()
-		}
-		if q.deliver != nil {
-			q.deliver(nil, err)
-		}
-		p.m.arena.PutBuf(q.takeBuf())
-	}
-}
-
-// deliverFailed answers the queries a failed pass strands.
-func (p *pass) deliverFailed(fails []*passQuery) {
-	if len(fails) == 0 {
+// RunMorsel evaluates one unit: claim the range (taking the queries
+// riding it), then walk its blocks so every query of the unit visits a
+// cache-resident block before it is evicted. Distinct units write
+// disjoint cells, so the scan itself takes no lock; the dispatch
+// barrier publishes founders' cells to the assembling goroutine and
+// pass.mu publishes riders'.
+func (p *pass) RunMorsel(i int) {
+	if p.failed.Load() {
 		return
 	}
-	err := p.failed
-	if err == nil {
-		err = errors.New("coop: pass failed")
+	r, qlo, qhi := 0, 0, 0
+	claims := true
+	if p.round == 0 {
+		r = i / p.nc
+		qlo = (i % p.nc) * p.chunk
+		qhi = min(qlo+p.chunk, len(p.founders))
+		claims = qlo == 0
+	} else {
+		r = p.wrap[i]
 	}
-	for _, q := range fails {
-		if q.deliver != nil {
-			q.deliver(nil, err)
-		}
-		p.m.arena.PutBuf(q.takeBuf())
+	if dead(p.ctx) {
+		qhi = qlo // the founders gave up; the unit still serves its riders
 	}
-}
-
-// worker is one pass worker's loop: reap cancelled queries, claim the
-// highest-demand block, scan it for every query in its need-set. When
-// nothing is claimable it parks until a scan completes or an attacher
-// arrives; the worker that finds the pass drained closes it.
-func (p *pass) worker() {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
+	var riders []*attacher
+	if claims {
+		riders = p.claim(r)
+	}
+	if qlo == qhi && len(riders) == 0 {
+		return
+	}
+	nr := p.nr
+	blo := r * p.rangeBlocks
+	bhi := min(blo+p.rangeBlocks, p.nb)
+	for b := blo; b < bhi; b++ {
+		scanned := false
+		for qi := qlo; qi < qhi; qi++ {
+			scanned = p.scan(b, &p.founders[qi], &p.cells[qi*nr+r]) || scanned
 		}
-		drops := p.reapLocked()
-		b, qs, ok := p.claimLocked()
-		if !ok {
-			if p.inflight == 0 && (p.pending == 0 || p.failed != nil) {
-				fails := p.closeLocked()
-				p.mu.Unlock()
-				p.deliverDrops(drops)
-				p.deliverFailed(fails)
-				return
+		for _, a := range riders {
+			if !a.settled.Load() {
+				scanned = p.scan(b, &a.query, &a.cells[r]) || scanned
 			}
-			if len(drops) > 0 {
-				p.mu.Unlock()
-				p.deliverDrops(drops)
-				continue
-			}
-			p.cond.Wait()
-			p.mu.Unlock()
-			continue
 		}
-		p.mu.Unlock()
-		p.deliverDrops(drops)
-		p.runBlock(b, qs)
-		// Blocks are the pass's preemption quantum: yield between them
-		// so submitting goroutines get scheduled mid-pass and can
-		// attach at the cursor even when scans saturate every core —
-		// without this, a CPU-bound pass on a loaded box starves the
-		// very arrivals cooperative scans exist to adopt.
+		switch {
+		case !scanned && claims:
+			p.skipped.Add(1)
+		case scanned && p.round > 0:
+			p.wrapBlocks.Add(1)
+		}
+		if p.m.blockHook != nil {
+			p.m.blockHook(p.key, b)
+		}
+	}
+	if len(riders) > 0 {
+		p.land(r, riders)
+	}
+	if p.key != "" && p.m.sought.Load() {
+		// Units are an attachable pass's preemption quantum: yield
+		// between them so submitting goroutines get scheduled mid-pass
+		// and can attach at the cursor even when scans saturate every
+		// core — without this, a CPU-bound pass on a loaded box starves
+		// the very arrivals cooperative scans exist to adopt. Only once
+		// somebody seeks to attach, though: yielding interleaves the
+		// units of overlapping batches, so each stays in flight longer,
+		// and a server nobody attaches to would hit its in-flight cap
+		// (and shed) at rates it absorbs when batches run back to back.
 		runtime.Gosched()
 	}
 }
 
-// runBlock scans one claimed block for its whole need-set. The morsel
-// fault site fires first (a fault fails the pass, never half-counts the
-// block); queries cancelled after the claim snapshot skip their scan. A
-// query's last block completes it: sort and deliver outside the lock.
-func (p *pass) runBlock(b int, qs []*passQuery) {
-	var injected error
-	scanOK := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				injected = fmt.Errorf("coop: panic scanning block %d of %q: %v", b, p.key, r)
-			}
-		}()
-		if err := faultinject.Fire(rt.FaultSiteMorsel); err != nil {
-			injected = fmt.Errorf("coop: block %d of %q: %w", b, p.key, err)
-			return
-		}
-		for _, q := range qs {
-			q.mu.Lock()
-			if !q.cancelled && q.buf != nil {
-				q.buf.IDs = p.src.ScanBlock(b, q.pred, q.buf.IDs)
-			}
-			q.mu.Unlock()
-		}
-		if p.hook != nil {
-			p.hook(p.key, b)
-		}
-		scanOK = true
-	}()
-	var done []*passQuery
+// scan evaluates block b for one query into its range cell, checking
+// the cell out on first use. It reports whether the block was scanned
+// (false: pruned for this query, or the pass has failed).
+func (p *pass) scan(b int, q *query, cell **rt.Buf) bool {
+	if p.src.Prune(b, q.pred) {
+		return false
+	}
+	c := *cell
+	if c == nil {
+		// The expected cardinality split evenly across ranges, plus the
+		// source's slack — load-bearing for the arena's zero-allocation
+		// contract: without it a predicated kernel's first block grows
+		// the cell past its checkout size class and the class pools
+		// never see a hit.
+		c = p.arena.GetBuf(q.hint/p.nr + p.slack)
+		*cell = c
+	}
+	ids, err := p.src.ScanBlock(b, q.bound, c.IDs)
+	c.IDs = ids
+	if err != nil {
+		p.fail(err)
+		return false
+	}
+	return true
+}
+
+// claim marks range r claimed and takes the queries riding it; it is
+// also the unit boundary at which cancelled attachers are reaped.
+func (p *pass) claim(r int) []*attacher {
 	p.mu.Lock()
-	p.inflight--
-	if injected != nil && p.failed == nil {
-		p.failed = injected
+	rs := &p.ranges[r]
+	riders := rs.joined
+	rs.joined = nil
+	rs.open, rs.running = false, len(riders) > 0
+	if p.round == 0 {
+		p.claimed++
 	}
-	if scanOK && p.failed == nil {
-		for _, q := range qs {
-			q.remaining--
-			if q.remaining == 0 && !q.finished && !q.dropped {
-				q.finished = true
-				p.live--
-				p.liveSel -= q.sel
-				done = append(done, q)
+	drops := p.reapLocked()
+	p.mu.Unlock()
+	for _, a := range drops {
+		a.deliver(nil, a.ctx.Err())
+	}
+	return riders
+}
+
+// reapLocked drops attachers whose context died: they leave the live
+// set, units stop scanning for them, and every cell no unit is writing
+// goes straight back to the arena — a cancelled query must stop costing
+// work and memory now, not when the pass ends. Caller holds p.mu and
+// delivers the returned queries' context errors outside it.
+func (p *pass) reapLocked() []*attacher {
+	var drops []*attacher
+	for _, a := range p.attachers {
+		if a.settled.Load() || !dead(a.ctx) {
+			continue
+		}
+		p.settleLocked(a)
+		for r := range a.cells {
+			// A running range may be scanning into this slot; its unit
+			// releases the cell itself when it lands.
+			if !p.ranges[r].running {
+				p.arena.PutBuf(a.cells[r])
+				a.cells[r] = nil
 			}
 		}
+		cadd(p.m.cancelDropped, 1)
+		drops = append(drops, a)
 	}
-	p.cond.Broadcast()
+	return drops
+}
+
+// settleLocked takes an attacher out of the live set ahead of its one
+// deliver call. Caller holds p.mu.
+func (p *pass) settleLocked(a *attacher) {
+	a.settled.Store(true)
+	p.live--
+	p.liveSel -= a.sel
+}
+
+// land accounts a finished unit's riders: a dropped rider's cell goes
+// back to the arena, a live rider with no ranges left is assembled and
+// answered.
+func (p *pass) land(r int, riders []*attacher) {
+	var done []*attacher
+	p.mu.Lock()
+	p.ranges[r].running = false
+	for _, a := range riders {
+		if a.settled.Load() {
+			p.arena.PutBuf(a.cells[r])
+			a.cells[r] = nil
+			continue
+		}
+		if a.remaining--; a.remaining == 0 && !p.failed.Load() {
+			p.settleLocked(a)
+			done = append(done, a)
+		}
+	}
 	p.mu.Unlock()
-	for _, q := range done {
-		q.completeOK()
+	for _, a := range done {
+		var ids []storage.RowID
+		if out := concat(p.arena, a.cells); out != nil {
+			ids = out.IDs
+		}
+		a.deliver(ids, nil)
 	}
 }
 
-// Run executes one cooperative pass for a batch of founder queries and
-// blocks until the pass closes — including any wrap-around blocks that
-// mid-pass attachers added, which is the founders' (bounded, MaxAttach-
-// capped) price for the tail latency attachers save. Results come back
-// as an arena result set, one sorted rowID slice per founder; sels and
-// hints are optional per-founder selectivity estimates and result
-// cardinality hints.
+// concat assembles one query's per-range cells into a single buffer:
+// ranges concatenate in order, so rowID order is preserved. A lone cell
+// transfers with no copy; the other cells return to the arena. Returns
+// nil when no cell was ever checked out (every block pruned).
+//
+//fclint:owns — the caller receives the assembled buffer.
+func concat(arena *rt.Arena, cells []*rt.Buf) *rt.Buf {
+	var only *rt.Buf
+	total, used := 0, 0
+	for _, c := range cells {
+		if c != nil {
+			only = c
+			total += len(c.IDs)
+			used++
+		}
+	}
+	out := only
+	if used > 1 {
+		out = arena.GetBuf(total)
+	}
+	for i, c := range cells {
+		if c == nil {
+			continue
+		}
+		if c != out {
+			out.IDs = append(out.IDs, c.IDs...)
+			arena.PutBuf(c)
+		}
+		cells[i] = nil
+	}
+	return out
+}
+
+// nextRound runs between dispatches: after the founders' grid it takes
+// the founders out of the live set, then either closes the pass (no
+// query missed a range) or turns the missed lists into the next
+// wrap-around round. It returns that round's unit count.
+func (p *pass) nextRound() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.round == 0 {
+		p.live -= len(p.founders)
+		p.liveSel -= p.founderSel
+	}
+	p.round++
+	p.wrap = p.wrap[:0]
+	for r := range p.ranges {
+		rs := &p.ranges[r]
+		for _, a := range rs.missed {
+			if !a.settled.Load() {
+				rs.joined = append(rs.joined, a)
+			}
+		}
+		rs.missed = nil
+		if len(rs.joined) > 0 {
+			rs.open = true
+			p.wrap = append(p.wrap, r)
+		}
+	}
+	p.closed = len(p.wrap) == 0
+	return len(p.wrap)
+}
+
+// drive dispatches the founders' grid and then wrap-around rounds until
+// no admitted query is missing a range. Units must never be skipped by
+// the pool on the founders' cancellation — attachers may be riding them
+// — so they are dispatched under no context and observe p.ctx themselves.
+func (p *pass) drive() error {
+	for n := p.nr * p.nc; n > 0; n = p.nextRound() {
+		//fclint:ignore ctxflow deliberate: the pool would skip units once the founders cancel, stranding riders; RunMorsel checks p.ctx itself
+		if err := p.pool.Dispatch(nil, n, p); err != nil {
+			p.fail(err)
+		}
+		if p.failed.Load() {
+			return p.err
+		}
+	}
+	if dead(p.ctx) {
+		return p.ctx.Err()
+	}
+	return nil
+}
+
+// assemble moves the founders' cells into a result set.
+func (p *pass) assemble() *rt.Results {
+	res := p.arena.GetResults(len(p.founders))
+	for qi := range p.founders {
+		if out := concat(p.arena, p.cells[qi*p.nr:(qi+1)*p.nr]); out != nil {
+			res.Attach(qi, out)
+		}
+	}
+	return res
+}
+
+// retire ends the pass on every path out of Run, a unit's panic
+// included: close it to attachers, answer any it strands (only possible
+// after a fault), hand back every cell still checked out, unpublish,
+// and recycle the pass. It returns the number of queries the pass adopted.
+func (p *pass) retire(published bool) (attached int) {
+	m := p.m
+	var stranded []*attacher
+	p.mu.Lock()
+	p.closed = true
+	attached = len(p.attachers)
+	for _, a := range p.attachers {
+		if !a.settled.Load() {
+			p.settleLocked(a)
+			stranded = append(stranded, a)
+		}
+	}
+	p.mu.Unlock()
+	err := errAborted
+	if p.failed.Load() {
+		err = p.err
+	}
+	for _, a := range stranded {
+		a.deliver(nil, err)
+	}
+	for i, c := range p.cells {
+		p.arena.PutBuf(c)
+		p.cells[i] = nil
+	}
+	for _, a := range p.attachers {
+		for _, c := range a.cells {
+			p.arena.PutBuf(c)
+		}
+	}
+	if published {
+		m.mu.Lock()
+		delete(m.live, p.key)
+		m.mu.Unlock()
+		// Wait out any Progress/Attach that looked the pass up before it
+		// was unpublished (see Progress).
+		p.mu.Lock()
+		p.mu.Unlock()
+	}
+	cadd(m.wrapBlocks, p.wrapBlocks.Swap(0))
+	cadd(m.demandSkipped, p.skipped.Swap(0))
+
+	p.m, p.src, p.ctx, p.pool, p.arena, p.err = nil, nil, nil, nil, nil, nil
+	p.founders = p.founders[:0]
+	clear(p.attachers)
+	p.attachers = p.attachers[:0]
+	clear(p.ranges) // drop the rider lists' references with the attachers
+	p.round, p.claimed, p.live, p.liveSel, p.founderSel = 0, 0, 0, 0, 0
+	p.closed = false
+	p.failed.Store(false)
+	passPool.Put(p)
+	return attached
+}
+
+// Run executes one shared scan of src for a batch of founder queries on
+// pool, with result buffers from arena, and blocks until the pass
+// closes. With a non-empty key the pass is published for mid-pass
+// attach while it runs (an empty key runs it unpublished), and closing
+// includes any wrap-around rounds attachers added — the founders'
+// (bounded) price for the tail latency attachers save. Results come
+// back as an arena
+// result set, one ascending rowID slice per founder; attached is the
+// number of queries the pass adopted. hints is the optional expected
+// result cardinality per founder. The founders' cancellation is
+// observed between units.
 //
 //fclint:owns — the caller receives the pooled result set and the Release obligation.
-func (m *Manager) Run(ctx context.Context, key string, src Source, preds []scan.Predicate, sels []float64, hints []int) (*rt.Results, error) {
+func (m *Manager) Run(ctx context.Context, key string, pool *rt.Pool, arena *rt.Arena,
+	src Source, preds []scan.Predicate, hints []int) (res *rt.Results, attached int, err error) {
 	if len(preds) == 0 {
-		return nil, errors.New("coop: empty batch")
+		return nil, 0, errors.New("coop: empty batch")
 	}
-	nb := src.Blocks()
-	p := &pass{
-		m: m, key: key, src: src, hook: m.blockHook,
-		need:    make([][]*passQuery, nb),
-		demand:  make([]int, nb),
-		claimed: make([]bool, nb),
+	if dead(ctx) {
+		return nil, 0, ctx.Err()
 	}
-	p.cond = sync.NewCond(&p.mu)
-	founders := make([]*passQuery, len(preds))
-	for i, pr := range preds {
-		q := &passQuery{pred: pr, ctx: ctx}
-		if i < len(sels) {
-			q.sel = sels[i]
-		}
-		hint := 0
-		if i < len(hints) {
-			hint = hints[i]
-		}
-		q.buf = m.arena.GetBuf(hint)
-		founders[i] = q
-		p.admitLocked(q) // pass not yet published: no lock needed
-	}
+	p := newPass(ctx, m, key, pool, arena, src, preds, hints)
 	cadd(m.passes, 1)
 	// Publish for mid-pass attach. If another pass is already live on
 	// this key the new one runs unpublished — correct, just closed to
 	// attachers.
 	published := false
-	m.mu.Lock()
-	if _, busy := m.live[key]; !busy {
-		m.live[key] = p
-		published = true
-	}
-	m.mu.Unlock()
-
-	workers := min(m.workers, nb)
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers-1; i++ {
-		wg.Add(1)
-		rt.Go(func() { defer wg.Done(); p.worker() })
-	}
-	p.worker()
-	wg.Wait()
-
-	if published {
+	if key != "" {
 		m.mu.Lock()
-		if m.live[key] == p {
-			delete(m.live, key)
+		if _, busy := m.live[key]; !busy {
+			m.live[key] = p
+			published = true
 		}
 		m.mu.Unlock()
 	}
+	defer func() { attached = p.retire(published) }()
+	if err := p.drive(); err != nil {
+		return nil, 0, err
+	}
+	return p.assemble(), 0, nil
+}
 
-	// All workers have exited: the pass state is quiescent and
-	// happens-before this goroutine via the WaitGroup.
-	if p.failed != nil {
-		for _, q := range founders {
-			m.arena.PutBuf(q.takeBuf())
-		}
-		return nil, p.failed
-	}
-	for _, q := range founders {
-		if !q.dropped {
-			continue
-		}
-		// The batch context died mid-pass (founders share it); dropped
-		// founders' buffers went back at the reap, finished ones here.
-		for _, f := range founders {
-			m.arena.PutBuf(f.takeBuf())
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
-	}
-	res := m.arena.GetResults(len(founders))
-	for i, q := range founders {
-		res.Attach(i, q.takeBuf())
-	}
-	return res, nil
+// standalone runs the passes of callers that own no Manager.
+var standalone = NewManager(Options{})
+
+// Run executes one unpublished shared scan: Manager.Run under the empty
+// key, for the tools, baselines and benchmarks that own no Manager.
+//
+//fclint:owns — the caller receives the pooled result set and the Release obligation.
+func Run(ctx context.Context, pool *rt.Pool, arena *rt.Arena,
+	src Source, preds []scan.Predicate, hints []int) (*rt.Results, error) {
+	res, _, err := standalone.Run(ctx, "", pool, arena, src, preds, hints)
+	return res, err
 }
 
 // Attach admits one late query to the in-flight pass on key, if there
-// is one and pricing already said yes. The query picks up the pass at
-// its cursor — its unclaimed blocks carry the founders' demand and are
-// served next — and the blocks it missed are re-scheduled at demand 1,
-// serving its prefix as a wrap-around continuation. deliver is called
-// exactly once (sorted rowIDs, a context error at a reap, or the pass
-// failure). savedNs is the model's predicted latency saving, recorded
-// for observability. Returns false — next-window semantics — when no
-// attachable pass exists, the pass is closing or full, or the attach
-// fault site fired.
+// is one and pricing already said yes. The query rides every range the
+// pass has not yet claimed — sharing those blocks with the founders —
+// and the ranges it missed are served by wrap-around units after the
+// founders' grid drains. Ranges its predicate prunes entirely are never
+// scheduled for it. deliver is called exactly once (ascending rowIDs, a
+// context error at a reap, or the pass failure). maxAttach caps the
+// pass's attachers (<= 0: DefaultMaxAttach); savedNs is the model's
+// predicted latency saving, recorded for observability. Returns false —
+// next-window semantics — when no attachable pass exists, the pass is
+// closing or full, or the attach fault site fired.
 //
 //fclint:owns — delivered rowIDs alias an arena buffer the submitter now owns.
-func (m *Manager) Attach(ctx context.Context, key string, pred scan.Predicate, sel float64, hint int, savedNs int64, deliver func([]storage.RowID, error)) bool {
+func (m *Manager) Attach(ctx context.Context, key string, pred scan.Predicate, sel float64, hint int,
+	savedNs int64, maxAttach int, deliver func([]storage.RowID, error)) bool {
 	if deliver == nil {
 		return false
 	}
+	m.seek()
 	if err := attachFault(); err != nil {
 		cadd(m.attachRejected, 1)
 		return false
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if dead(ctx) {
 		return false
 	}
-	m.mu.Lock()
-	p := m.live[key]
-	m.mu.Unlock()
-	if p == nil {
+	if maxAttach <= 0 {
+		maxAttach = DefaultMaxAttach
+	}
+	admitted, empty := m.admit(key, maxAttach, &attacher{
+		query: query{pred: pred, hint: hint},
+		sel:   sel, ctx: ctx, deliver: deliver,
+	})
+	if !admitted {
 		cadd(m.attachRejected, 1)
 		return false
 	}
-	q := &passQuery{pred: pred, ctx: ctx, sel: sel, deliver: deliver, buf: m.arena.GetBuf(hint)}
-	p.mu.Lock()
-	if p.closed || p.failed != nil || p.attached >= m.maxAttach {
-		p.mu.Unlock()
-		m.arena.PutBuf(q.takeBuf())
-		cadd(m.attachRejected, 1)
-		return false
-	}
-	p.attached++
-	finished := p.admitLocked(q)
-	p.cond.Broadcast()
-	p.mu.Unlock()
 	cadd(m.attaches, 1)
 	hrec(m.attachSavedNs, savedNs)
-	if finished {
-		// Every block pruned for this predicate: deliver the empty
-		// result without waking anyone.
-		q.completeOK()
+	if empty {
+		deliver(nil, nil)
+	}
+	return true
+}
+
+// admit enters a on the live pass under key: it joins every range still
+// open this round and is recorded as having missed the rest. empty
+// reports that its predicate prunes every block, so there is nothing to
+// wait for and the caller answers it on the spot.
+func (m *Manager) admit(key string, maxAttach int, a *attacher) (admitted, empty bool) {
+	m.mu.Lock()
+	p := m.live[key]
+	if p == nil {
+		m.mu.Unlock()
+		return false, false
+	}
+	p.mu.Lock() // before the registry lock drops: see Progress
+	m.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.closed || p.failed.Load() || len(p.attachers) >= maxAttach {
+		return false, false
+	}
+	a.bound = p.src.Bind(a.pred)
+	a.cells = make([]*rt.Buf, p.nr)
+	for r := range p.ranges {
+		if p.prunes(r, a.pred) {
+			continue
+		}
+		rs := &p.ranges[r]
+		if rs.open {
+			rs.joined = append(rs.joined, a)
+		} else {
+			rs.missed = append(rs.missed, a)
+		}
+		a.remaining++
+	}
+	p.attachers = append(p.attachers, a)
+	if a.remaining == 0 {
+		a.settled.Store(true)
+		return true, true
+	}
+	p.live++
+	p.liveSel += a.sel
+	return true, false
+}
+
+// prunes reports whether every block of range r is pruned for pred.
+func (p *pass) prunes(r int, pred scan.Predicate) bool {
+	blo := r * p.rangeBlocks
+	for b := blo; b < min(blo+p.rangeBlocks, p.nb); b++ {
+		if !p.src.Prune(b, pred) {
+			return false
+		}
 	}
 	return true
 }

@@ -27,7 +27,7 @@ func newCountingSource(s Source) *countingSource {
 	return &countingSource{Source: s, scans: make(map[scan.Predicate]map[int]int)}
 }
 
-func (c *countingSource) ScanBlock(b int, p scan.Predicate, out []storage.RowID) []storage.RowID {
+func (c *countingSource) ScanBlock(b int, p scan.Predicate, out []storage.RowID) ([]storage.RowID, error) {
 	c.mu.Lock()
 	if c.scans[p] == nil {
 		c.scans[p] = make(map[int]int)
@@ -38,12 +38,13 @@ func (c *countingSource) ScanBlock(b int, p scan.Predicate, out []storage.RowID)
 }
 
 // assertExactlyOnce checks that pred was scanned over exactly the blocks
-// in want, each exactly once.
+// in want, each exactly once. Scans are recorded under the bound
+// predicate ScanBlock receives (pred itself for value kernels).
 func (c *countingSource) assertExactlyOnce(t *testing.T, pred scan.Predicate, want []int) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	got := c.scans[pred]
+	got := c.scans[c.Source.Bind(pred)]
 	if len(got) != len(want) {
 		t.Fatalf("pred %v scanned %d distinct blocks, want %d (%v)", pred, len(got), len(want), got)
 	}
@@ -100,15 +101,20 @@ type attachSpec struct {
 
 func runWithAttach(t *testing.T, data []storage.Value, founders []scan.Predicate, attachers []*attachSpec) (*rt.Results, *countingSource, *Manager, *obs.Registry) {
 	t.Helper()
+	return runSourceWithAttach(t, scan.NewRaw(data, tBlock, nil), founders, attachers)
+}
+
+// runSourceWithAttach is runWithAttach over any source.
+func runSourceWithAttach(t *testing.T, base Source, founders []scan.Predicate, attachers []*attachSpec) (*rt.Results, *countingSource, *Manager, *obs.Registry) {
+	t.Helper()
 	reg := obs.NewRegistry()
-	src := newCountingSource(SliceSource{Data: data, BlockTuples: tBlock})
+	src := newCountingSource(base)
 	var m *Manager
 	var mu sync.Mutex
 	seen := make(map[int]bool)
 	var wg sync.WaitGroup
 	m = NewManager(Options{
 		Metrics: reg,
-		Workers: 1,
 		BlockHook: func(key string, b int) {
 			mu.Lock()
 			wrap := seen[b]
@@ -121,7 +127,7 @@ func runWithAttach(t *testing.T, data []storage.Value, founders []scan.Predicate
 				a.attached = true
 				aa := a
 				wg.Add(1)
-				ok := m.Attach(context.Background(), key, a.pred, 0.05, 0, 0,
+				ok := m.Attach(context.Background(), key, a.pred, 0.05, 0, 0, 0,
 					func(ids []storage.RowID, err error) {
 						aa.rowIDs = append([]storage.RowID(nil), ids...)
 						aa.err = err
@@ -134,7 +140,7 @@ func runWithAttach(t *testing.T, data []storage.Value, founders []scan.Predicate
 			}
 		},
 	})
-	res, err := m.Run(context.Background(), "t\x00a", src, founders, nil, nil)
+	res, _, err := m.Run(context.Background(), "t\x00a", nil, nil, src, founders, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -243,7 +249,7 @@ func TestCancelledAttacherDroppedAndBufferReleasedEagerly(t *testing.T) {
 	reg := obs.NewRegistry()
 	arena := rt.NewArena(0, reg)
 	data := testData(1280, 5) // 20 blocks
-	src := newCountingSource(SliceSource{Data: data, BlockTuples: tBlock})
+	src := newCountingSource(scan.NewRaw(data, tBlock, nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	var m *Manager
 	var (
@@ -257,16 +263,14 @@ func TestCancelledAttacherDroppedAndBufferReleasedEagerly(t *testing.T) {
 		delivered  = make(chan struct{})
 	)
 	m = NewManager(Options{
-		Arena:   arena,
 		Metrics: reg,
-		Workers: 1,
 		BlockHook: func(key string, b int) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case b == 1 && !attached:
 				attached = true
-				if !m.Attach(ctx, key, scan.Predicate{Lo: 0, Hi: 500}, 0.5, 1024, 0,
+				if !m.Attach(ctx, key, scan.Predicate{Lo: 0, Hi: 500}, 0.5, 1024, 0, 0,
 					func(_ []storage.RowID, err error) {
 						repErr = err
 						close(delivered)
@@ -287,7 +291,7 @@ func TestCancelledAttacherDroppedAndBufferReleasedEagerly(t *testing.T) {
 		},
 	})
 	founders := []scan.Predicate{{Lo: 0, Hi: 999}}
-	res, err := m.Run(context.Background(), "t\x00a", src, founders, nil, nil)
+	res, _, err := m.Run(context.Background(), "t\x00a", nil, arena, src, founders, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -324,10 +328,10 @@ func TestZonemapDemandSkip(t *testing.T) {
 	col := mustColumn(t, data)
 	zm := storage.BuildZonemap(col, tBlock)
 	reg := obs.NewRegistry()
-	src := newCountingSource(SliceSource{Data: data, BlockTuples: tBlock, Zonemap: zm})
-	m := NewManager(Options{Metrics: reg, Workers: 1})
+	src := newCountingSource(scan.NewRaw(data, tBlock, zm))
+	m := NewManager(Options{Metrics: reg})
 	preds := []scan.Predicate{{Lo: 0, Hi: 100}, {Lo: 50, Hi: 200}}
-	res, err := m.Run(context.Background(), "t\x00a", src, preds, nil, nil)
+	res, _, err := m.Run(context.Background(), "t\x00a", nil, nil, src, preds, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -368,9 +372,9 @@ func mustColumn(t *testing.T, data []storage.Value) *storage.Column {
 func TestAttachFaultDegradesToNextWindow(t *testing.T) {
 	for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Panic} {
 		reg := obs.NewRegistry()
-		m := NewManager(Options{Metrics: reg, Workers: 1})
+		m := NewManager(Options{Metrics: reg})
 		data := testData(640, 6)
-		src := SliceSource{Data: data, BlockTuples: tBlock}
+		src := scan.NewRaw(data, tBlock, nil)
 		deactivate := faultinject.Activate(faultinject.New(1, faultinject.Rule{Site: FaultSiteAttach, Kind: kind, Every: 1}))
 		var rejected bool
 		hook := func(key string, b int) {
@@ -378,13 +382,13 @@ func TestAttachFaultDegradesToNextWindow(t *testing.T) {
 				return
 			}
 			rejected = true
-			if m.Attach(context.Background(), key, scan.Predicate{Lo: 0, Hi: 10}, 0.01, 0, 0,
+			if m.Attach(context.Background(), key, scan.Predicate{Lo: 0, Hi: 10}, 0.01, 0, 0, 0,
 				func([]storage.RowID, error) {}) {
 				t.Errorf("kind %v: attach succeeded under fault", kind)
 			}
 		}
 		m.blockHook = hook
-		res, err := m.Run(context.Background(), "t\x00a", src, []scan.Predicate{{Lo: 0, Hi: 999}}, nil, nil)
+		res, _, err := m.Run(context.Background(), "t\x00a", nil, nil, src, []scan.Predicate{{Lo: 0, Hi: 999}}, nil)
 		deactivate()
 		if err != nil {
 			t.Fatalf("kind %v: founder pass failed: %v", kind, err)
@@ -403,9 +407,9 @@ func TestAttachFaultDegradesToNextWindow(t *testing.T) {
 }
 
 func TestAttachDelayFaultProceeds(t *testing.T) {
-	m := NewManager(Options{Workers: 1})
+	m := NewManager(Options{})
 	data := testData(640, 7)
-	src := SliceSource{Data: data, BlockTuples: tBlock}
+	src := scan.NewRaw(data, tBlock, nil)
 	deactivate := faultinject.Activate(faultinject.New(1, faultinject.Rule{
 		Site: FaultSiteAttach, Kind: faultinject.Delay, Every: 1, Delay: time.Millisecond,
 	}))
@@ -414,14 +418,14 @@ func TestAttachDelayFaultProceeds(t *testing.T) {
 	var once sync.Once
 	m.blockHook = func(key string, b int) {
 		once.Do(func() {
-			if !m.Attach(context.Background(), key, scan.Predicate{Lo: 0, Hi: 500}, 0.5, 0, 0,
+			if !m.Attach(context.Background(), key, scan.Predicate{Lo: 0, Hi: 500}, 0.5, 0, 0, 0,
 				func(_ []storage.RowID, err error) { done <- err }) {
 				t.Error("delayed attach rejected")
 				done <- nil
 			}
 		})
 	}
-	res, err := m.Run(context.Background(), "t\x00a", src, []scan.Predicate{{Lo: 0, Hi: 999}}, nil, nil)
+	res, _, err := m.Run(context.Background(), "t\x00a", nil, nil, src, []scan.Predicate{{Lo: 0, Hi: 999}}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -433,9 +437,9 @@ func TestAttachDelayFaultProceeds(t *testing.T) {
 
 func TestMorselFaultFailsPassAndAnswersAttachers(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(Options{Metrics: reg, Workers: 1})
+	m := NewManager(Options{Metrics: reg})
 	data := testData(640, 8)
-	src := SliceSource{Data: data, BlockTuples: tBlock}
+	src := scan.NewRaw(data, tBlock, nil)
 	// Fire once, on the 5th block claim — after the hook has attached.
 	deactivate := faultinject.Activate(faultinject.New(1, faultinject.Rule{
 		Site: rt.FaultSiteMorsel, Kind: faultinject.Error, Every: 5, Count: 1,
@@ -445,14 +449,14 @@ func TestMorselFaultFailsPassAndAnswersAttachers(t *testing.T) {
 	var once sync.Once
 	m.blockHook = func(key string, b int) {
 		once.Do(func() {
-			if !m.Attach(context.Background(), key, scan.Predicate{Lo: 0, Hi: 500}, 0.5, 0, 0,
+			if !m.Attach(context.Background(), key, scan.Predicate{Lo: 0, Hi: 500}, 0.5, 0, 0, 0,
 				func(_ []storage.RowID, err error) { attacherErr <- err }) {
 				t.Error("attach rejected before fault")
 				attacherErr <- nil
 			}
 		})
 	}
-	_, err := m.Run(context.Background(), "t\x00a", src, []scan.Predicate{{Lo: 0, Hi: 999}}, nil, nil)
+	_, _, err := m.Run(context.Background(), "t\x00a", nil, nil, src, []scan.Predicate{{Lo: 0, Hi: 999}}, nil)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Run error = %v, want injected fault", err)
 	}
@@ -467,13 +471,13 @@ func TestConcurrentAttachersUnderParallelWorkers(t *testing.T) {
 	reg := obs.NewRegistry()
 	arena := rt.NewArena(0, reg)
 	data := testData(1<<15, 9) // 512 blocks
-	src := newCountingSource(SliceSource{Data: data, BlockTuples: tBlock})
+	src := newCountingSource(scan.NewRaw(data, tBlock, nil))
+	pool := rt.NewPool(4, nil)
+	defer pool.Close()
 	started := make(chan string, 1)
 	var once sync.Once
 	m := NewManager(Options{
-		Arena:   arena,
 		Metrics: reg,
-		Workers: 4,
 		BlockHook: func(key string, b int) {
 			once.Do(func() { started <- key })
 		},
@@ -494,13 +498,13 @@ func TestConcurrentAttachersUnderParallelWorkers(t *testing.T) {
 		key := <-started
 		for i, p := range attachPreds {
 			i, p := i, p
-			attachOK[i] = m.Attach(context.Background(), key, p, 0.1, 0, 0,
+			attachOK[i] = m.Attach(context.Background(), key, p, 0.1, 0, 0, 0,
 				func(ids []storage.RowID, err error) {
 					replies <- reply{i: i, ids: append([]storage.RowID(nil), ids...), err: err}
 				})
 		}
 	})
-	res, err := m.Run(context.Background(), "t\x00a", src, founders, nil, nil)
+	res, _, err := m.Run(context.Background(), "t\x00a", pool, arena, src, founders, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -533,10 +537,11 @@ func TestConcurrentAttachersUnderParallelWorkers(t *testing.T) {
 }
 
 func FuzzAttachOffsets(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(0), uint16(999), uint16(100), uint16(800))
-	f.Add(int64(2), uint8(7), uint16(50), uint16(51), uint16(0), uint16(999))
-	f.Add(int64(3), uint8(15), uint16(900), uint16(999), uint16(400), uint16(500))
-	f.Fuzz(func(t *testing.T, seed int64, trigger uint8, flo, fhi, alo, ahi uint16) {
+	f.Add(int64(1), uint8(0), uint8(0), uint16(0), uint16(999), uint16(100), uint16(800))
+	f.Add(int64(2), uint8(7), uint8(2), uint16(50), uint16(51), uint16(0), uint16(999))
+	f.Add(int64(3), uint8(15), uint8(4), uint16(900), uint16(999), uint16(400), uint16(500))
+	f.Add(int64(4), uint8(9), uint8(5), uint16(10), uint16(600), uint16(300), uint16(310))
+	f.Fuzz(func(t *testing.T, seed int64, trigger, kind uint8, flo, fhi, alo, ahi uint16) {
 		data := testData(1024, seed) // 16 blocks
 		if fhi < flo {
 			flo, fhi = fhi, flo
@@ -549,8 +554,12 @@ func FuzzAttachOffsets(f *testing.F) {
 		if founder.Hi < founder.Lo || apred.Hi < apred.Lo || founder == apred {
 			t.Skip() // identical predicates would fold in the counting map
 		}
+		base := sourceKinds[int(kind)%len(sourceKinds)].build(t, data, tBlock)
+		if base.Bind(founder) == base.Bind(apred) {
+			t.Skip() // distinct ranges can bind to the same code bounds
+		}
 		a := &attachSpec{trigger: int(trigger) % 16, pred: apred}
-		res, src, _, _ := runWithAttach(t, data, []scan.Predicate{founder}, []*attachSpec{a})
+		res, src, _, _ := runSourceWithAttach(t, base, []scan.Predicate{founder}, []*attachSpec{a})
 		defer res.Release()
 		want := scan.Shared(data, []scan.Predicate{founder, apred}, tBlock)
 		if !sameRowIDs(res.RowIDs[0], want[0]) {
@@ -562,6 +571,6 @@ func FuzzAttachOffsets(f *testing.F) {
 		if a.err != nil || !sameRowIDs(a.rowIDs, want[1]) {
 			t.Fatalf("attacher: err=%v rows=%d want=%d", a.err, len(a.rowIDs), len(want[1]))
 		}
-		src.assertExactlyOnce(t, apred, seqBlocks(16))
+		src.assertExactlyOnce(t, apred, liveBlocks(src, apred))
 	})
 }

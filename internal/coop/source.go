@@ -5,78 +5,32 @@ import (
 	"fastcolumns/internal/storage"
 )
 
-// Source is one column's block-addressable view for a cooperative pass:
-// a fixed block grid over the relation, a scan kernel per block, and an
-// optional per-query prune check that lets the pass decrement a block's
-// demand before it is ever scheduled.
+// Source is the block-kernel interface: one column's block-addressable
+// view — a fixed block grid over the relation, a scan kernel per block,
+// and a per-query prune check that lets a pass skip a block for a query
+// without touching the data. It is the only way a column is scanned;
+// internal/scan implements it for the raw, strided (column-group) and
+// packed-SWAR layouts, each composable with a zonemap or imprints
+// pruner, and a new physical layout becomes a new Source.
 type Source interface {
 	// Rows returns the relation's tuple count.
 	Rows() int
-	// Blocks returns the number of blocks in the pass's circular schedule.
+	// Blocks returns the number of blocks in the pass's schedule.
 	Blocks() int
-	// ScanBlock appends the rowIDs of block b's tuples matching p to out
-	// and returns the extended slice. RowIDs are relation-absolute.
-	ScanBlock(b int, p scan.Predicate, out []storage.RowID) []storage.RowID
-	// Prune reports whether block b provably holds no match for p, so
-	// the pass can skip scheduling it for that query entirely.
+	// Bind translates p, once at admission, into the bounds ScanBlock
+	// evaluates — p itself for value kernels, dictionary code bounds
+	// for the packed kernel.
+	Bind(p scan.Predicate) scan.Predicate
+	// ScanBlock appends the rowIDs of block b's tuples matching bound
+	// (a Bind result) to out and returns the extended slice. RowIDs are
+	// relation-absolute and ascending. An error fails the pass.
+	ScanBlock(b int, bound scan.Predicate, out []storage.RowID) ([]storage.RowID, error)
+	// Prune reports whether block b provably holds no match for p (the
+	// unbound predicate), so the pass never scans it for that query.
 	Prune(b int, p scan.Predicate) bool
-}
-
-// SliceSource is the standard Source over a contiguous uncompressed
-// column: fixed-size tuple blocks over a raw value slice, with zonemap
-// bounds (when present) powering Prune. Zone and block boundaries need
-// not align; a block prunes only when every overlapping zone does.
-type SliceSource struct {
-	Data        []storage.Value
-	BlockTuples int
-	Zonemap     *storage.Zonemap
-}
-
-func (s SliceSource) blockTuples() int {
-	if s.BlockTuples > 0 {
-		return s.BlockTuples
-	}
-	return scan.DefaultBlockTuples
-}
-
-// Rows returns the column's tuple count.
-func (s SliceSource) Rows() int { return len(s.Data) }
-
-// Blocks returns the number of BlockTuples-sized blocks covering Data.
-func (s SliceSource) Blocks() int {
-	bt := s.blockTuples()
-	return (len(s.Data) + bt - 1) / bt
-}
-
-// bounds returns block b's tuple range [lo, hi).
-func (s SliceSource) bounds(b int) (lo, hi int) {
-	bt := s.blockTuples()
-	lo = b * bt
-	hi = min(lo+bt, len(s.Data))
-	return lo, hi
-}
-
-// ScanBlock runs the unrolled predicated kernel over block b.
-func (s SliceSource) ScanBlock(b int, p scan.Predicate, out []storage.RowID) []storage.RowID {
-	lo, hi := s.bounds(b)
-	return scan.BlockScan(s.Data[lo:hi], p, lo, out)
-}
-
-// Prune reports whether the zonemap proves block b empty for p.
-func (s SliceSource) Prune(b int, p scan.Predicate) bool {
-	if s.Zonemap == nil {
-		return false
-	}
-	lo, hi := s.bounds(b)
-	zs := s.Zonemap.ZoneSize()
-	for zi := lo / zs; zi < s.Zonemap.Zones(); zi++ {
-		zlo := zi * zs
-		if zlo >= hi {
-			break
-		}
-		if !s.Zonemap.Skippable(zi, p.Lo, p.Hi) {
-			return false
-		}
-	}
-	return true
+	// Slack is the rowID capacity ScanBlock needs beyond the matches it
+	// keeps (predicated kernels write a whole block at the cursor); the
+	// pass adds it to every result-cell checkout so sized cells never
+	// re-grow mid-scan.
+	Slack() int
 }

@@ -73,7 +73,7 @@ func TestAllThreePathsAgree(t *testing.T) {
 func TestImprintsScanPathAgrees(t *testing.T) {
 	rel, data := lowCardRelation(t, 40000, 250, true)
 	preds := []scan.Predicate{{Lo: 50, Hi: 60}, {Lo: 0, Hi: 249}}
-	res, err := RunScan(context.Background(), rel, preds, Options{UseImprints: true})
+	res, err := RunScan(context.Background(), rel, preds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fastcolumns/internal/bitmap"
+	"fastcolumns/internal/coop"
 	"fastcolumns/internal/faultinject"
 	"fastcolumns/internal/imprints"
 	"fastcolumns/internal/index"
@@ -33,8 +34,10 @@ func ctxErr(ctx context.Context) error {
 
 // Relation bundles one attribute's physical presence: the base column
 // view, and optionally a compressed twin, a zonemap, and a secondary
-// index. The optimizer consults what exists; the runner uses what it is
-// told to.
+// index. The optimizer consults what exists, and so does the runner: a
+// scan takes the best source the relation offers. A caller that wants
+// the plain scan beside, say, a compressed twin passes a relation
+// without the twin.
 type Relation struct {
 	Column     *storage.Column
 	Compressed *storage.CompressedColumn
@@ -43,8 +46,14 @@ type Relation struct {
 	// Bitmap is the Appendix E value-per-bitmap index, present only on
 	// low-cardinality attributes.
 	Bitmap *bitmap.Index
-	// Imprints accelerates scans with cache-line data skipping.
+	// Imprints accelerates scans with cache-line data skipping (takes
+	// precedence over the coarser zonemap).
 	Imprints *imprints.Index
+	// Passes, when non-nil, publishes this attribute's scans under
+	// PassKey while they run, so late queries can attach mid-pass; a
+	// relation without one scans unpublished.
+	Passes  *coop.Manager
+	PassKey string
 }
 
 // Validate reports structural inconsistencies (mismatched sizes).
@@ -70,17 +79,8 @@ func (r *Relation) Validate() error {
 
 // Options tunes the runner.
 type Options struct {
-	// Workers bounds the hardware threads used; <= 0 means GOMAXPROCS.
-	Workers int
 	// BlockTuples is the shared-scan block size; <= 0 selects the default.
 	BlockTuples int
-	// PreferCompressed scans the compressed column when present.
-	PreferCompressed bool
-	// UseZonemap lets scans skip zones when a zonemap is present.
-	UseZonemap bool
-	// UseImprints lets scans skip cache lines when imprints are present
-	// (takes precedence over the coarser zonemap).
-	UseImprints bool
 	// Metrics, when non-nil, receives per-path execution observations:
 	// batch and query counters plus a latency histogram per access path.
 	// Instrument names are constants, so recording is allocation-free.
@@ -127,6 +127,10 @@ type Result struct {
 	// Pooled is set when RowIDs alias arena-owned buffers; Release hands
 	// them back. Paths that allocate plainly leave it nil.
 	Pooled *rt.Results
+	// Attached counts the queries a scan pass adopted mid-flight; a pass
+	// that adopted any also served their wrap-around ranges, so its
+	// Elapsed is not a clean measurement of the batch alone.
+	Attached int
 }
 
 // Release returns arena-owned result buffers for reuse. The RowIDs must
@@ -148,23 +152,36 @@ func (r Result) TotalRows() int {
 	return t
 }
 
-// recordKernelBps records the scan kernel's achieved streaming rate
-// (bytes of column data per second) under its own instrument, so the
-// drift accounting's view of the fitted bandwidth constants can be
-// cross-checked per kernel. Instrument names arrive as constants from
-// RunScan's branches; recording is allocation-free.
-func (o Options) recordKernelBps(name string, bytes int64, elapsed time.Duration) {
-	if o.Metrics == nil || elapsed <= 0 {
-		return
+// scanSource picks the relation's scan source — packed codes when a
+// compressed twin exists, else the raw or strided base column — with
+// the finest pruner present, and returns it with the instrument its
+// streaming rate records under and the bytes one pass streams.
+func (r *Relation) scanSource(blockTuples int) (src coop.Source, bps string, bytes int64) {
+	var pruner scan.Pruner
+	bps = "exec.scan.kernel.shared.bps"
+	switch {
+	case r.Imprints != nil:
+		pruner, bps = r.Imprints, "exec.scan.kernel.imprints.bps"
+	case r.Zonemap != nil:
+		pruner, bps = r.Zonemap, "exec.scan.kernel.zonemap.bps"
 	}
-	o.Metrics.Histogram(name).Record(bytes * int64(time.Second) / int64(elapsed))
+	if r.Compressed != nil {
+		bytes = int64(r.Compressed.Len()) * int64(r.Compressed.TupleSize())
+		return scan.NewPacked(r.Compressed, blockTuples, pruner), "exec.scan.kernel.swar.bps", bytes
+	}
+	bytes = int64(r.Column.Len()) * int64(r.Column.TupleSize())
+	if raw, err := r.Column.Raw(); err == nil {
+		return scan.NewRaw(raw, blockTuples, pruner), bps, bytes
+	}
+	// Column-group member: no raw view exists.
+	return scan.NewStrided(r.Column, blockTuples, pruner), "exec.scan.kernel.strided.bps", bytes
 }
 
-// RunScan answers the batch with a shared sequential scan. The raw,
-// strided and compressed (packed SWAR) paths run as morsels on the
-// pool, so cancellation is observed between morsels (a cancelled batch
-// stops mid-relation); the skipping kernels (imprints, zonemap) remain
-// batch-granular.
+// RunScan answers the batch with a shared sequential scan: one pass of
+// the relation's scan source through the pass driver, whatever the
+// layout. Units run as morsels on the pool with arena-backed results,
+// and cancellation is observed between them (a cancelled batch stops
+// mid-relation).
 //
 //fclint:owns — Result carries the pooled buffers out; callers release via Result.Pooled.
 func RunScan(ctx context.Context, rel *Relation, preds []scan.Predicate, opt Options) (Result, error) {
@@ -178,50 +195,27 @@ func RunScan(ctx context.Context, rel *Relation, preds []scan.Predicate, opt Opt
 		return Result{}, err
 	}
 	start := time.Now()
-	var rowIDs [][]storage.RowID
-	var pooled *rt.Results
-	kernelBps := "exec.scan.kernel.shared.bps"
-	kernelBytes := int64(rel.Column.Len()) * int64(rel.Column.TupleSize())
-	// A strided column-group member has no raw view (rawErr != nil); every
-	// kernel that needs one falls through to the strided path.
-	switch raw, rawErr := rel.Column.Raw(); {
-	case opt.PreferCompressed && rel.Compressed != nil:
-		res, err := scan.SharedCompressedPoolContext(ctx, opt.pool(), opt.Arena, rel.Compressed, preds, opt.BlockTuples, opt.Hints)
-		if err != nil {
-			return Result{}, err
-		}
-		rowIDs, pooled = res.RowIDs, res
-		kernelBps = "exec.scan.kernel.swar.bps"
-		kernelBytes = int64(rel.Compressed.Len()) * int64(rel.Compressed.TupleSize())
-	case opt.UseImprints && rel.Imprints != nil && rawErr == nil:
-		ranges := make([][2]storage.Value, len(preds))
-		for i, p := range preds {
-			ranges[i] = [2]storage.Value{p.Lo, p.Hi}
-		}
-		rowIDs = rel.Imprints.SharedSelect(raw, ranges)
-		kernelBps = "exec.scan.kernel.imprints.bps"
-	case opt.UseZonemap && rel.Zonemap != nil && rawErr == nil:
-		rowIDs = scan.SharedWithZonemap(raw, rel.Zonemap, preds)
-		kernelBps = "exec.scan.kernel.zonemap.bps"
-	case rawErr == nil:
-		res, err := scan.SharedPoolContext(ctx, opt.pool(), opt.Arena, raw, preds, opt.BlockTuples, opt.Hints)
-		if err != nil {
-			return Result{}, err
-		}
-		rowIDs, pooled = res.RowIDs, res
-	default:
-		// Column-group member: blocked strided shared scan as morsels.
-		res, err := scan.SharedStridedPoolContext(ctx, opt.pool(), opt.Arena, rel.Column, preds, opt.BlockTuples, opt.Hints)
-		if err != nil {
-			return Result{}, err
-		}
-		rowIDs, pooled = res.RowIDs, res
-		kernelBps = "exec.scan.kernel.strided.bps"
+	src, bps, bytes := rel.scanSource(opt.BlockTuples)
+	var res *rt.Results
+	var attached int
+	var err error
+	if rel.Passes != nil {
+		res, attached, err = rel.Passes.Run(ctx, rel.PassKey, opt.pool(), opt.Arena, src, preds, opt.Hints)
+	} else {
+		res, err = coop.Run(ctx, opt.pool(), opt.Arena, src, preds, opt.Hints)
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	elapsed := time.Since(start)
 	opt.record("exec.scan.batches", "exec.scan.queries", "exec.scan.ns", len(preds), elapsed)
-	opt.recordKernelBps(kernelBps, kernelBytes, elapsed)
-	return Result{Path: model.PathScan, RowIDs: rowIDs, Elapsed: elapsed, Pooled: pooled}, nil
+	if opt.Metrics != nil && elapsed > 0 {
+		// The kernel's achieved streaming rate (bytes of column data per
+		// second), so the drift accounting's view of the fitted bandwidth
+		// constants can be cross-checked per kernel.
+		opt.Metrics.Histogram(bps).Record(bytes * int64(time.Second) / int64(elapsed))
+	}
+	return Result{Path: model.PathScan, RowIDs: res.RowIDs, Elapsed: elapsed, Pooled: res, Attached: attached}, nil
 }
 
 // RunIndex answers the batch with a concurrent secondary-index scan,

@@ -7,6 +7,7 @@ import (
 
 	"fastcolumns/internal/index"
 	"fastcolumns/internal/model"
+	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/scan"
 	"fastcolumns/internal/storage"
 )
@@ -62,14 +63,23 @@ func TestBothPathsProduceIdenticalResults(t *testing.T) {
 		{Lo: 9000, Hi: 9999}, // empty
 		{Lo: 0, Hi: 7999},    // everything
 	}
-	variants := []Options{
-		{},
-		{Workers: 1},
-		{PreferCompressed: true},
-		{UseZonemap: true},
-		{BlockTuples: 1024, Workers: 4},
+	// The relation says what exists: each variant is a view of the same
+	// attribute with a different set of scan structures (and so a
+	// different scan source), all of which must agree with the index.
+	pool := rt.NewPool(4, nil)
+	defer pool.Close()
+	variants := []struct {
+		rel *Relation
+		opt Options
+	}{
+		{rel, Options{}}, // packed + zonemap
+		{&Relation{Column: rel.Column, Index: rel.Index}, Options{}},
+		{&Relation{Column: rel.Column, Index: rel.Index, Compressed: rel.Compressed}, Options{}},
+		{&Relation{Column: rel.Column, Index: rel.Index, Zonemap: rel.Zonemap}, Options{}},
+		{&Relation{Column: rel.Column, Index: rel.Index}, Options{BlockTuples: 1024, Pool: pool}},
 	}
-	for _, opt := range variants {
+	for _, v := range variants {
+		rel, opt := v.rel, v.opt
 		scanRes, err := RunScan(context.Background(), rel, preds, opt)
 		if err != nil {
 			t.Fatal(err)

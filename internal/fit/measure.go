@@ -23,15 +23,18 @@ func MeasureObservations(ctx context.Context, rel *exec.Relation, tupleSize floa
 		trials = 1
 	}
 	n := rel.Column.Len()
+	// The scan observation is the plain shared scan even beside a
+	// compressed twin or a pruner: time it on the base column alone.
+	base := &exec.Relation{Column: rel.Column, Index: rel.Index}
 	var obs []Observation
 	for _, q := range qs {
 		for _, s := range sels {
 			preds := workload.Batch(int64(q)*1000+int64(s*1e6), q, s, domain)
-			scanSec, rows, err := medianRun(ctx, rel, model.PathScan, preds, trials, exec.Options{})
+			scanSec, rows, err := medianRun(ctx, base, model.PathScan, preds, trials)
 			if err != nil {
 				return nil, err
 			}
-			indexSec, _, err := medianRun(ctx, rel, model.PathIndex, preds, trials, exec.Options{})
+			indexSec, _, err := medianRun(ctx, base, model.PathIndex, preds, trials)
 			if err != nil {
 				return nil, err
 			}
@@ -39,8 +42,8 @@ func MeasureObservations(ctx context.Context, rel *exec.Relation, tupleSize floa
 			// packed SWAR scan so Fit can calibrate its Appendix D term.
 			packedSec := 0.0
 			if rel.Compressed != nil {
-				packedSec, _, err = medianRun(ctx, rel, model.PathScan, preds, trials,
-					exec.Options{PreferCompressed: true})
+				packed := &exec.Relation{Column: rel.Column, Compressed: rel.Compressed}
+				packedSec, _, err = medianRun(ctx, packed, model.PathScan, preds, trials)
 				if err != nil {
 					return nil, err
 				}
@@ -57,10 +60,10 @@ func MeasureObservations(ctx context.Context, rel *exec.Relation, tupleSize floa
 	return obs, nil
 }
 
-func medianRun(ctx context.Context, rel *exec.Relation, path model.Path, preds []scan.Predicate, trials int, opt exec.Options) (sec float64, totalRows int, err error) {
+func medianRun(ctx context.Context, rel *exec.Relation, path model.Path, preds []scan.Predicate, trials int) (sec float64, totalRows int, err error) {
 	times := make([]time.Duration, 0, trials)
 	for t := 0; t < trials; t++ {
-		res, err := exec.Run(ctx, rel, path, preds, opt)
+		res, err := exec.Run(ctx, rel, path, preds, exec.Options{})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"fastcolumns/internal/scan"
 	"fastcolumns/internal/storage"
 )
 
@@ -26,6 +27,7 @@ const Bins = 64
 type entry struct {
 	imprint uint64
 	count   uint32 // consecutive lines sharing this imprint
+	first   uint32 // index of the run's first line
 }
 
 // Index is a column-imprints secondary structure over one column.
@@ -63,7 +65,7 @@ func Build(c *storage.Column) (*Index, error) {
 		if k := len(x.entries); k > 0 && x.entries[k-1].imprint == imp {
 			x.entries[k-1].count++
 		} else {
-			x.entries = append(x.entries, entry{imprint: imp, count: 1})
+			x.entries = append(x.entries, entry{imprint: imp, count: 1, first: uint32(line)})
 		}
 	}
 	return x, nil
@@ -84,7 +86,8 @@ func (x *Index) computeBounds(data []storage.Value) {
 	sorted := append([]storage.Value(nil), sample...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for b := 0; b < Bins-1; b++ {
-		x.bounds[b] = sorted[(b+1)*len(sorted)/Bins-1]
+		// Fewer sampled values than bins: the low bins share the minimum.
+		x.bounds[b] = sorted[max((b+1)*len(sorted)/Bins-1, 0)]
 	}
 }
 
@@ -107,7 +110,7 @@ func (x *Index) mask(lo, hi storage.Value) uint64 {
 func (x *Index) Len() int { return x.n }
 
 // Entries returns the RLE-compressed imprint count (its memory footprint
-// is Entries() * 12 bytes, typically a small fraction of the column).
+// is Entries() * 16 bytes, typically a small fraction of the column).
 func (x *Index) Entries() int { return len(x.entries) }
 
 // CheckedFraction returns the fraction of cache lines a query on
@@ -126,39 +129,62 @@ func (x *Index) CheckedFraction(lo, hi storage.Value) float64 {
 	return float64(checked) / float64(x.lines)
 }
 
-// Select scans only the lines whose imprints intersect the query mask,
-// appending qualifying rowIDs to out in ascending order.
-func (x *Index) Select(data []storage.Value, lo, hi storage.Value, out []storage.RowID) []storage.RowID {
-	if lo > hi {
+// ScanRows is the imprint scan over rows [lo, hi) of data (the indexed
+// column): it walks the run-length-encoded imprints covering the range,
+// skips every cache line whose imprint misses the query mask, and runs
+// the predicated kernel over each maximal run of surviving lines,
+// appending qualifying rowIDs to out in ascending order. It makes the
+// index a scan.RowScanner: the raw source hands it each block a pass
+// does not prune, so skipping stays cache-line granular inside blocks
+// that are far too large to be empty on locally clustered data.
+func (x *Index) ScanRows(data []storage.Value, lo, hi int, vlo, vhi storage.Value, out []storage.RowID) []storage.RowID {
+	if vlo > vhi || lo >= hi {
 		return out
 	}
-	m := x.mask(lo, hi)
-	line := 0
-	for _, e := range x.entries {
-		if e.imprint&m == 0 {
-			line += int(e.count)
+	m := x.mask(vlo, vhi)
+	p := scan.Predicate{Lo: vlo, Hi: vhi}
+	lastLine := uint32((hi - 1) / LineValues)
+	from, to := lo, lo // the pending run of surviving rows
+	for e := x.entryAt(lo / LineValues); e < len(x.entries) && x.entries[e].first <= lastLine; e++ {
+		en := x.entries[e]
+		if en.imprint&m == 0 {
 			continue
 		}
-		for r := 0; r < int(e.count); r++ {
-			start := (line + r) * LineValues
-			end := min(start+LineValues, len(data))
-			for i := start; i < end; i++ {
-				if v := data[i]; v >= lo && v <= hi {
-					out = append(out, storage.RowID(i))
-				}
+		if start := int(en.first) * LineValues; start > to {
+			if to > from {
+				out = scan.ScanUnrolled(data[from:to], p, from, out)
 			}
+			from = start
 		}
-		line += int(e.count)
+		to = min(int(en.first+en.count)*LineValues, hi)
+	}
+	if to > from {
+		out = scan.ScanUnrolled(data[from:to], p, from, out)
 	}
 	return out
 }
 
-// SharedSelect answers a batch: the imprint vector streams once per
-// query, but on clustered data most entries short-circuit on the mask.
-func (x *Index) SharedSelect(data []storage.Value, ranges [][2]storage.Value) [][]storage.RowID {
-	out := make([][]storage.RowID, len(ranges))
-	for qi, r := range ranges {
-		out[qi] = x.Select(data, r[0], r[1], nil)
+// entryAt returns the index of the run-length entry covering line.
+func (x *Index) entryAt(line int) int {
+	return sort.Search(len(x.entries), func(i int) bool { return int(x.entries[i].first) > line }) - 1
+}
+
+// Prunes reports whether rows [lo, hi) provably hold no value in
+// [vlo, vhi]: no cache line overlapping the range has an imprint that
+// intersects the query mask. It makes the imprint vector a block pruner
+// for shared-scan passes (scan.Pruner): a pass skips the block for that
+// query without touching the data; ScanRows serves the blocks that
+// survive.
+func (x *Index) Prunes(lo, hi int, vlo, vhi storage.Value) bool {
+	if vlo > vhi || lo >= hi {
+		return true
 	}
-	return out
+	m := x.mask(vlo, vhi)
+	lastLine := uint32((hi - 1) / LineValues)
+	for e := x.entryAt(lo / LineValues); e < len(x.entries) && x.entries[e].first <= lastLine; e++ {
+		if x.entries[e].imprint&m != 0 {
+			return false
+		}
+	}
+	return true
 }

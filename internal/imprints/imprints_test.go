@@ -46,6 +46,11 @@ func equalIDs(a, b []storage.RowID) bool {
 	return true
 }
 
+// scanAll is the whole-column imprint scan.
+func scanAll(x *Index, data []storage.Value, lo, hi storage.Value, out []storage.RowID) []storage.RowID {
+	return x.ScanRows(data, 0, len(data), lo, hi, out)
+}
+
 func TestSelectMatchesReference(t *testing.T) {
 	for name, data := range map[string][]storage.Value{
 		"uniform":   uniform(1, 30000, 1<<20),
@@ -58,7 +63,7 @@ func TestSelectMatchesReference(t *testing.T) {
 		for _, r := range [][2]storage.Value{
 			{0, 1 << 14}, {1 << 19, 1<<19 + 1<<15}, {1 << 21, 1 << 22}, {500, 500},
 		} {
-			got := x.Select(data, r[0], r[1], nil)
+			got := scanAll(x, data, r[0], r[1], nil)
 			want := refIDs(data, r[0], r[1])
 			if !equalIDs(got, want) {
 				t.Fatalf("%s range %v: %d rows, want %d", name, r, len(got), len(want))
@@ -121,15 +126,80 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestSharedSelect(t *testing.T) {
+// TestPrunesIsSoundAndSkips pins the block-pruner contract on clustered
+// data: a pruned row range never holds a qualifying value, at aligned
+// and ragged range boundaries alike, and most ranges away from the
+// query's cluster do prune.
+func TestPrunesIsSoundAndSkips(t *testing.T) {
 	data := clustered(6, 20000, 1<<18)
 	x, _ := Build(storage.NewColumn("v", data))
-	ranges := [][2]storage.Value{{0, 100}, {1 << 17, 1<<17 + 5000}, {1 << 19, 1 << 20}}
-	results := x.SharedSelect(data, ranges)
-	for qi, r := range ranges {
-		if !equalIDs(results[qi], refIDs(data, r[0], r[1])) {
-			t.Fatalf("query %d disagrees", qi)
+	for _, r := range [][2]storage.Value{{0, 100}, {1 << 17, 1<<17 + 5000}, {1 << 19, 1 << 20}, {500, 100}} {
+		pruned, total := 0, 0
+		for _, width := range []int{16, 100, 1024} {
+			for lo := 0; lo < len(data); lo += width {
+				hi := min(lo+width, len(data))
+				total++
+				if !x.Prunes(lo, hi, r[0], r[1]) {
+					continue
+				}
+				pruned++
+				for i := lo; i < hi; i++ {
+					if data[i] >= r[0] && data[i] <= r[1] {
+						t.Fatalf("range %v: rows [%d,%d) pruned but row %d = %d qualifies", r, lo, hi, i, data[i])
+					}
+				}
+			}
 		}
+		if pruned*2 < total {
+			t.Fatalf("range %v: only %d of %d row ranges pruned on clustered data", r, pruned, total)
+		}
+	}
+}
+
+// TestScanRowsBlockwise pins the row-scanner contract a raw source
+// relies on: scanning a column block by block — aligned, ragged and
+// sub-line block widths alike — appends exactly the reference rows in
+// order, and never reads outside the block.
+func TestScanRowsBlockwise(t *testing.T) {
+	for name, data := range map[string][]storage.Value{
+		"uniform":   uniform(7, 20000, 1<<18),
+		"clustered": clustered(8, 20000, 1<<18),
+	} {
+		x, _ := Build(storage.NewColumn("v", data))
+		for _, r := range [][2]storage.Value{{0, 100}, {1 << 17, 1<<17 + 5000}, {0, 1 << 18}, {500, 100}} {
+			want := refIDs(data, r[0], r[1])
+			for _, width := range []int{7, 16, 100, 1024, len(data)} {
+				var got []storage.RowID
+				for lo := 0; lo < len(data); lo += width {
+					before := len(got)
+					got = x.ScanRows(data, lo, min(lo+width, len(data)), r[0], r[1], got)
+					for _, id := range got[before:] {
+						if int(id) < lo || int(id) >= lo+width {
+							t.Fatalf("%s range %v width %d: row %d outside block [%d,%d)", name, r, width, id, lo, lo+width)
+						}
+					}
+				}
+				if !equalIDs(got, want) {
+					t.Fatalf("%s range %v width %d: %d rows, want %d", name, r, width, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestBuildTinyColumn: fewer values than histogram bins must still
+// build (and prune soundly).
+func TestBuildTinyColumn(t *testing.T) {
+	data := []storage.Value{7, 3, 9}
+	x, err := Build(storage.NewColumn("v", data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Prunes(0, 3, 3, 3) || x.Prunes(0, 3, 9, 9) {
+		t.Fatal("pruned a range holding a qualifying value")
+	}
+	if !equalIDs(scanAll(x, data, 3, 7, nil), refIDs(data, 3, 7)) {
+		t.Fatal("select over a tiny column disagrees")
 	}
 }
 
@@ -149,7 +219,7 @@ func TestQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return equalIDs(x.Select(data, lo, hi, nil), refIDs(data, lo, hi))
+		return equalIDs(scanAll(x, data, lo, hi, nil), refIDs(data, lo, hi))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -165,10 +235,10 @@ func TestConstantColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.Select(data, 42, 42, nil); len(got) != 1000 {
+	if got := scanAll(x, data, 42, 42, nil); len(got) != 1000 {
 		t.Fatalf("constant column select found %d rows", len(got))
 	}
-	if got := x.Select(data, 43, 100, nil); len(got) != 0 {
+	if got := scanAll(x, data, 43, 100, nil); len(got) != 0 {
 		t.Fatalf("out-of-domain select found %d rows", len(got))
 	}
 	if x.Entries() != 1 {

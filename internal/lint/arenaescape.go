@@ -7,9 +7,8 @@ import (
 	"strings"
 )
 
-// Arenaescape tracks views into pooled arena buffers — the IDs / W /
-// RowIDs slices of internal/runtime's Buf, WordBuf, and Results wrappers
-// — and flags the three ways such a view can outlive the batch that owns
+// Arenaescape tracks views into pooled arena buffers — the IDs / RowIDs
+// slices of internal/runtime's Buf and Results wrappers — and flags the three ways such a view can outlive the batch that owns
 // the backing memory:
 //
 //   - stored into a struct field reachable from outside the function
@@ -290,15 +289,13 @@ func (st *escapeState) canHoldView(e ast.Expr) bool {
 }
 
 // isArenaView matches the selector shapes that expose pooled backing
-// memory: .IDs on Buf, .W on WordBuf, .RowIDs on Results (and the
+// memory: .IDs on Buf, .RowIDs on Results (and the
 // query-layer Result mirror, which wraps the same arena slice).
 func (st *escapeState) isArenaView(sel *ast.SelectorExpr) bool {
 	var wrapper string
 	switch sel.Sel.Name {
 	case "IDs":
 		wrapper = "Buf"
-	case "W":
-		wrapper = "WordBuf"
 	case "RowIDs":
 		wrapper = "Results"
 	default:

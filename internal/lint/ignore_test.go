@@ -102,10 +102,8 @@ func TestSuppressionLedger(t *testing.T) {
 	sort.Strings(got)
 	want := []string{
 		"fastcolumns.go lockhold",
+		"internal/coop/coop.go ctxflow",
 		"internal/index/probe.go arenaescape",
-		"internal/scan/shared.go arenaescape",
-		"internal/scan/shared.go arenaescape",
-		"internal/scan/strided.go arenaescape",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("suppression ledger drifted:\n got %v\nwant %v", got, want)

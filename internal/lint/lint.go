@@ -40,8 +40,8 @@
 //   - lockhold: every Lock/RLock is matched by its Unlock on all paths,
 //     and no write lock is held across a blocking operation (channel
 //     ops, select, pool Dispatch, time.Sleep, network I/O).
-//   - arenaescape: arena-backed slices (Buf.IDs, WordBuf.W,
-//     Results.RowIDs and their query-layer mirrors) never escape to
+//   - arenaescape: arena-backed slices (Buf.IDs, Results.RowIDs and
+//     their query-layer mirrors) never escape to
 //     struct fields, package variables, or un-annotated returns.
 //
 // Findings can be silenced inline with a justified suppression —

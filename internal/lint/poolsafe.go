@@ -8,11 +8,11 @@ import (
 
 // Poolsafe machine-checks the arena/pool checkout discipline that the
 // morsel runtime's zero-allocation contract rests on: a value checked
-// out of internal/runtime's Arena (GetBuf/GetWords/GetResults) or any
+// out of internal/runtime's Arena (GetBuf/GetResults) or any
 // sync.Pool must
 //
 //   - never be used again, on any path, after it was released
-//     (PutBuf/PutWords/Put/Release) — the backing memory may already
+//     (PutBuf/Put/Release) — the backing memory may already
 //     serve a concurrent batch, so a late use is silent cross-batch
 //     corruption, the use-after-free bug class pooling reintroduces; and
 //   - reach a release or an ownership transfer on every path to a normal
@@ -302,7 +302,7 @@ func forEachCheckoutBinding(info *types.Info, n ast.Node, fn func(obj types.Obje
 }
 
 // checkoutCall recognizes pooled-checkout calls: sync.Pool.Get, and the
-// GetBuf/GetWords/GetResults methods of a type named Arena (the
+// GetBuf/GetResults methods of a type named Arena (the
 // internal/runtime result arena; matching by name keeps fixtures
 // self-contained). A wrapping type assertion or parens are looked
 // through.
@@ -325,7 +325,7 @@ func checkoutCall(info *types.Info, e ast.Expr) (*ast.CallExpr, string, bool) {
 		if recv == "Pool" && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
 			return call, "sync.Pool.Get", true
 		}
-	case "GetBuf", "GetWords", "GetResults":
+	case "GetBuf", "GetResults":
 		if recv == "Arena" {
 			return call, "Arena." + fn.Name(), true
 		}
@@ -334,7 +334,7 @@ func checkoutCall(info *types.Info, e ast.Expr) (*ast.CallExpr, string, bool) {
 }
 
 // releasedObjects returns the variables a node releases: direct release
-// calls (Put/PutBuf/PutWords/Release) plus calls to module functions
+// calls (Put/PutBuf/Release) plus calls to module functions
 // whose summary releases the corresponding argument. DeferStmt nodes
 // release nothing at registration — their call runs at Exit.
 func releasedObjects(info *types.Info, sums *Summaries, n ast.Node) []types.Object {

@@ -17,8 +17,8 @@ import (
 //     flag mutexes held across pool dispatch and friends without
 //     special-casing every wrapper.
 //   - releases: the function hands one of its parameters (or its
-//     receiver) back to a pool or arena (sync.Pool.Put, Arena.PutBuf /
-//     PutWords, a Release method). poolsafe uses this so a helper that
+//     receiver) back to a pool or arena (sync.Pool.Put, Arena.PutBuf, a
+//     Release method). poolsafe uses this so a helper that
 //     releases on the caller's behalf both discharges the obligation and
 //     poisons later uses.
 //
@@ -437,8 +437,8 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // releaseTargets reports the objects a call returns to a pool or arena:
-// the receiver of x.Release(), the argument of Pool.Put / Arena.PutBuf /
-// Arena.PutWords. ok is false when the call is not a release at all.
+// the receiver of x.Release(), the argument of Pool.Put / Arena.PutBuf.
+// ok is false when the call is not a release at all.
 func releaseTargets(info *types.Info, call *ast.CallExpr) (objs []types.Object, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
@@ -452,7 +452,7 @@ func releaseTargets(info *types.Info, call *ast.CallExpr) (objs []types.Object, 
 	case "Release":
 		// x.Release(): the receiver goes back.
 		return []types.Object{rootObject(info, sel.X)}, true
-	case "Put", "PutBuf", "PutWords":
+	case "Put", "PutBuf":
 		// pool.Put(x) and friends: the argument goes back. Require a
 		// pool-ish receiver type so unrelated Put methods (a map wrapper,
 		// a cache) don't register as releases.

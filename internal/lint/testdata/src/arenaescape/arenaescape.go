@@ -1,15 +1,12 @@
 // Package arenaescape is the fixture for the arenaescape analyzer:
-// views into pooled arena buffers (the IDs / W / RowIDs slices of the
-// Buf / WordBuf / Results wrappers) must not outlive the batch. The
+// views into pooled arena buffers (the IDs / RowIDs slices of the
+// Buf / Results wrappers) must not outlive the batch. The
 // wrapper type names match internal/runtime's on purpose — the analyzer
 // recognizes the view selectors by name.
 package arenaescape
 
 // Buf mirrors internal/runtime.Buf.
 type Buf struct{ IDs []uint32 }
-
-// WordBuf mirrors internal/runtime.WordBuf.
-type WordBuf struct{ W []uint64 }
 
 // Results mirrors internal/runtime.Results.
 type Results struct{ RowIDs [][]uint32 }
@@ -70,11 +67,11 @@ func copyOut(b *Buf) []uint32 {
 
 // summarize derives scalars from the view; len() and an indexed element
 // launder the taint away.
-func summarize(w *WordBuf) (int, uint64) {
-	n := len(w.W)
-	var first uint64
+func summarize(b *Buf) (int, uint32) {
+	n := len(b.IDs)
+	var first uint32
 	if n > 0 {
-		first = w.W[0]
+		first = b.IDs[0]
 	}
 	return n, first
 }

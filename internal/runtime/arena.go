@@ -67,7 +67,6 @@ func classDown(n int) int {
 type Arena struct {
 	maxRetain int
 	bufs      [arenaClasses]sync.Pool
-	words     [arenaClasses]sync.Pool
 	sets      sync.Pool
 
 	hits    *obs.Counter
@@ -143,60 +142,6 @@ func (a *Arena) PutBuf(b *Buf) {
 	}
 	cadd(a.returns, 1)
 	a.bufs[class].Put(b)
-}
-
-// WordBuf is a recyclable bitmap-word buffer: the SWAR scan kernels
-// check one out per morsel to hold a block's match bitmap before late
-// rowID materialization. Like Buf it is a pointer-stable wrapper so the
-// sync.Pool round trip never allocates.
-type WordBuf struct {
-	W []uint64
-}
-
-// GetWords checks out a word buffer with capacity at least capHint
-// (length 0; callers reslice). Word buffers share the arena's size-class
-// discipline — and its hit/miss counters — with the rowID buffers, but
-// pool separately so a bitmap checkout never steals a rowID backing
-// array of the same class.
-func (a *Arena) GetWords(capHint int) *WordBuf {
-	if a == nil {
-		return &WordBuf{W: make([]uint64, 0, capHint)}
-	}
-	class := classFor(capHint)
-	if v := a.words[class].Get(); v != nil {
-		b := v.(*WordBuf)
-		if cap(b.W) >= capHint { // always true below the clamped last class
-			cadd(a.hits, 1)
-			b.W = b.W[:0]
-			return b
-		}
-		cadd(a.misses, 1)
-		b.W = make([]uint64, 0, capHint)
-		return b
-	}
-	cadd(a.misses, 1)
-	size := arenaMinCap << class
-	if size < capHint {
-		size = capHint
-	}
-	return &WordBuf{W: make([]uint64, 0, size)}
-}
-
-// PutWords returns a word buffer to its size class, mirroring PutBuf's
-// retain cap (counted in words).
-func (a *Arena) PutWords(b *WordBuf) {
-	if a == nil || b == nil {
-		return
-	}
-	if cap(b.W) > a.maxRetain {
-		b.W = nil
-		return
-	}
-	class := classDown(cap(b.W))
-	if class < 0 {
-		return
-	}
-	a.words[class].Put(b)
 }
 
 // Results is one batch's checked-out result set: RowIDs[i] aliases the

@@ -396,9 +396,9 @@ var (
 )
 
 // Default returns a lazily created process-wide pool sized to
-// GOMAXPROCS, used by the compatibility wrappers (scan.SharedParallel
-// and friends) when no engine-owned pool is in scope. It is never
-// closed; engines create and close their own pools.
+// GOMAXPROCS, used by direct callers (tools, baselines, benchmarks)
+// when no engine-owned pool is in scope. It is never closed; engines
+// create and close their own pools.
 func Default() *Pool {
 	defaultMu.Lock()
 	defer defaultMu.Unlock()

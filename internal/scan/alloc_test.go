@@ -29,8 +29,8 @@ func TestScanKernelsZeroAlloc(t *testing.T) {
 		name string
 		op   func()
 	}{
-		{"Scan", func() { buf = Scan(data, p, buf[:0]) }},
-		{"ScanUnrolled", func() { buf = ScanUnrolled(data, p, buf[:0]) }},
+		{"Scan", func() { buf = Scan(data, p, 0, buf[:0]) }},
+		{"ScanUnrolled", func() { buf = ScanUnrolled(data, p, 0, buf[:0]) }},
 		{"ScanBranching", func() { buf = ScanBranching(data, p, buf[:0]) }},
 		{"Count", func() { _ = Count(data, p) }},
 	}

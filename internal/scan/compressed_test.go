@@ -24,7 +24,7 @@ func TestCompressedMatchesPlainScan(t *testing.T) {
 		{Lo: 4999, Hi: 4999},
 		{Lo: 6000, Hi: 7000}, // outside domain
 	} {
-		got := Compressed(cc, p, nil)
+		got := sweep1(t, NewPacked(cc, 0, nil), p)
 		want := reference(data, p)
 		if !sameRowIDs(got, want) {
 			t.Fatalf("compressed scan disagrees for %+v: %d vs %d rows", p, len(got), len(want))
@@ -37,21 +37,21 @@ func TestCompressedBoundsBetweenValues(t *testing.T) {
 	// the right tuples.
 	data := []storage.Value{10, 20, 30, 40, 50}
 	cc := compressed(t, data)
-	got := Compressed(cc, Predicate{Lo: 15, Hi: 45}, nil)
+	got := sweep1(t, NewPacked(cc, 0, nil), Predicate{Lo: 15, Hi: 45})
 	if !sameRowIDs(got, []storage.RowID{1, 2, 3}) {
 		t.Fatalf("got %v, want [1 2 3]", got)
 	}
-	if got := Compressed(cc, Predicate{Lo: 21, Hi: 29}, nil); len(got) != 0 {
+	if got := sweep1(t, NewPacked(cc, 0, nil), Predicate{Lo: 21, Hi: 29}); len(got) != 0 {
 		t.Fatalf("gap range returned %v", got)
 	}
 }
 
-func TestSharedCompressedMatchesShared(t *testing.T) {
+func TestPackedSourceMatchesShared(t *testing.T) {
 	data := randomData(12, 40000, 3000)
 	cc := compressed(t, data)
 	preds := randomPreds(13, 8, 3000, 500)
 	preds = append(preds, Predicate{Lo: 9000, Hi: 9999}) // no hits
-	results := SharedCompressed(cc, preds, 0)
+	results := sweep(t, NewPacked(cc, 0, nil), preds)
 	if len(results) != len(preds) {
 		t.Fatalf("got %d result sets", len(results))
 	}

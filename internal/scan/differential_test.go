@@ -9,10 +9,12 @@ import (
 	"fastcolumns/internal/storage"
 )
 
-// Differential property suite: every scan kernel in this package — naive,
-// predicated, unrolled, shared, parallel, strided, compressed, and
-// zonemap-assisted — must select exactly the same rowID set for the same
-// data and predicate. The reference implementation is the obviously
+// Differential property suite: every scan kernel and block source in
+// this package — naive, predicated, unrolled, shared, strided, packed,
+// and zonemap-pruned — must select exactly the same rowID set for the
+// same data and predicate. Sources are walked by the test-only sweep
+// (source_test.go); the pass driver that walks them in the engine is
+// pinned to the same reference in internal/coop. The reference implementation is the obviously
 // correct branch-per-tuple filter; everything else is an optimization of
 // it, and any divergence is a bug by definition (nil and empty results
 // are the same answer: no qualifying tuples).
@@ -124,12 +126,10 @@ func TestDifferentialScanKernels(t *testing.T) {
 			// Single-predicate kernels.
 			for i, p := range tc.preds {
 				name := fmt.Sprintf("pred%d", i)
-				sameIDs(t, name+"/Scan", Scan(tc.data, p, nil), want[i])
+				sameIDs(t, name+"/Scan", Scan(tc.data, p, 0, nil), want[i])
 				sameIDs(t, name+"/ScanBranching", ScanBranching(tc.data, p, nil), want[i])
-				sameIDs(t, name+"/ScanUnrolled", ScanUnrolled(tc.data, p, nil), want[i])
-				sameIDs(t, name+"/ScanColumn", ScanColumn(col, p, 0, nil), want[i])
-				sameIDs(t, name+"/Parallel_w1", Parallel(tc.data, p, 1), want[i])
-				sameIDs(t, name+"/Parallel_w3", Parallel(tc.data, p, 3), want[i])
+				sameIDs(t, name+"/ScanUnrolled", ScanUnrolled(tc.data, p, 0, nil), want[i])
+				sameIDs(t, name+"/Raw", sweep1(t, NewRaw(tc.data, 0, nil), p), want[i])
 			}
 
 			// Shared batch kernels, at block sizes that do and do not
@@ -140,24 +140,22 @@ func TestDifferentialScanKernels(t *testing.T) {
 				for i := range tc.preds {
 					sameIDs(t, fmt.Sprintf("Shared/%s/pred%d", tag, i), got[i], want[i])
 				}
-				for _, workers := range []int{1, 3} {
-					gp := SharedParallel(tc.data, tc.preds, block, workers)
-					for i := range tc.preds {
-						sameIDs(t, fmt.Sprintf("SharedParallel/%s/w%d/pred%d", tag, workers, i), gp[i], want[i])
-					}
+				gp := sweep(t, NewRaw(tc.data, block, nil), tc.preds)
+				for i := range tc.preds {
+					sameIDs(t, fmt.Sprintf("Raw/%s/pred%d", tag, i), gp[i], want[i])
 				}
 			}
 
 			// Compressed twin (buildable: small domain, non-empty column).
 			if cc, err := storage.Compress(col); err == nil {
 				for _, block := range []int{0, 7} {
-					got := SharedCompressed(cc, tc.preds, block)
+					got := sweep(t, NewPacked(cc, block, nil), tc.preds)
 					for i := range tc.preds {
-						sameIDs(t, fmt.Sprintf("SharedCompressed/block%d/pred%d", block, i), got[i], want[i])
+						sameIDs(t, fmt.Sprintf("Packed/block%d/pred%d", block, i), got[i], want[i])
 					}
 				}
 				for i, p := range tc.preds {
-					sameIDs(t, fmt.Sprintf("Compressed/pred%d", i), Compressed(cc, p, nil), want[i])
+					sameIDs(t, fmt.Sprintf("Packed/pred%d", i), sweep1(t, NewPacked(cc, 0, nil), p), want[i])
 				}
 			}
 
@@ -168,11 +166,11 @@ func TestDifferentialScanKernels(t *testing.T) {
 				if z == nil {
 					continue
 				}
-				got := SharedWithZonemap(tc.data, z, tc.preds)
+				got := sweep(t, NewRaw(tc.data, 64, z), tc.preds)
 				for i := range tc.preds {
-					sameIDs(t, fmt.Sprintf("SharedWithZonemap/zs%d/pred%d", zs, i), got[i], want[i])
-					sameIDs(t, fmt.Sprintf("WithZonemap/zs%d/pred%d", zs, i),
-						WithZonemap(tc.data, z, tc.preds[i], nil), want[i])
+					sameIDs(t, fmt.Sprintf("Raw+zonemap/zs%d/pred%d", zs, i), got[i], want[i])
+					sameIDs(t, fmt.Sprintf("Raw+zonemap/single/zs%d/pred%d", zs, i),
+						sweep1(t, NewRaw(tc.data, 7, z), tc.preds[i]), want[i])
 				}
 			}
 		})
@@ -202,16 +200,14 @@ func TestDifferentialStridedKernels(t *testing.T) {
 			want[i] = refFilter(b, p)
 		}
 		for i, p := range preds {
-			sameIDs(t, fmt.Sprintf("n%d/ScanColumn_strided/pred%d", n, i),
-				ScanColumn(col, p, 0, nil), want[i])
+			sameIDs(t, fmt.Sprintf("n%d/Strided/single/pred%d", n, i),
+				sweep1(t, NewStrided(col, 0, nil), p), want[i])
 		}
 		for _, block := range []int{0, 7} {
-			for _, workers := range []int{1, 3} {
-				got := SharedStrided(col, preds, block, workers)
-				for i := range preds {
-					sameIDs(t, fmt.Sprintf("n%d/SharedStrided/block%d/w%d/pred%d", n, block, workers, i),
-						got[i], want[i])
-				}
+			got := sweep(t, NewStrided(col, block, nil), preds)
+			for i := range preds {
+				sameIDs(t, fmt.Sprintf("n%d/Strided/block%d/pred%d", n, block, i),
+					got[i], want[i])
 			}
 		}
 	}
@@ -244,31 +240,29 @@ func TestDifferentialRandomized(t *testing.T) {
 		}
 		col := storage.NewColumn("v", data)
 		block := []int{0, 7, 64, 1024}[rng.Intn(4)]
-		workers := 1 + rng.Intn(4)
 
 		for i, p := range preds {
 			tag := fmt.Sprintf("round%d/pred%d", round, i)
-			sameIDs(t, tag+"/Scan", Scan(data, p, nil), want[i])
-			sameIDs(t, tag+"/ScanUnrolled", ScanUnrolled(data, p, nil), want[i])
-			sameIDs(t, tag+"/Parallel", Parallel(data, p, workers), want[i])
+			sameIDs(t, tag+"/Scan", Scan(data, p, 0, nil), want[i])
+			sameIDs(t, tag+"/ScanUnrolled", ScanUnrolled(data, p, 0, nil), want[i])
 		}
-		got := SharedParallel(data, preds, block, workers)
+		got := sweep(t, NewRaw(data, block, nil), preds)
 		for i := range preds {
-			sameIDs(t, fmt.Sprintf("round%d/SharedParallel/pred%d", round, i), got[i], want[i])
+			sameIDs(t, fmt.Sprintf("round%d/Raw/pred%d", round, i), got[i], want[i])
 		}
 		if cc, err := storage.Compress(col); err == nil {
-			gc := SharedCompressed(cc, preds, block)
+			gc := sweep(t, NewPacked(cc, block, nil), preds)
 			gs := SharedCompressedScalar(cc, preds, block)
 			for i := range preds {
-				sameIDs(t, fmt.Sprintf("round%d/SharedCompressed/pred%d", round, i), gc[i], want[i])
+				sameIDs(t, fmt.Sprintf("round%d/Packed/pred%d", round, i), gc[i], want[i])
 				sameIDs(t, fmt.Sprintf("round%d/SharedCompressedScalar/pred%d", round, i), gs[i], want[i])
 			}
 		}
 		z := storage.BuildZonemap(col, 1+rng.Intn(200))
 		if z != nil {
-			gz := SharedWithZonemap(data, z, preds)
+			gz := sweep(t, NewRaw(data, block, z), preds)
 			for i := range preds {
-				sameIDs(t, fmt.Sprintf("round%d/SharedWithZonemap/pred%d", round, i), gz[i], want[i])
+				sameIDs(t, fmt.Sprintf("round%d/Raw+zonemap/pred%d", round, i), gz[i], want[i])
 			}
 		}
 	}

@@ -52,11 +52,10 @@ func TestScanKernelsAgree(t *testing.T) {
 	for _, p := range preds {
 		want := reference(data, p)
 		for name, got := range map[string][]storage.RowID{
-			"Scan":        Scan(data, p, nil),
-			"Branching":   ScanBranching(data, p, nil),
-			"Unrolled":    ScanUnrolled(data, p, nil),
-			"Parallel(4)": Parallel(data, p, 4),
-			"Parallel(1)": Parallel(data, p, 1),
+			"Scan":      Scan(data, p, 0, nil),
+			"Branching": ScanBranching(data, p, nil),
+			"Unrolled":  ScanUnrolled(data, p, 0, nil),
+			"Raw":       sweep1(t, NewRaw(data, 0, nil), p),
 		} {
 			if !sameRowIDs(got, want) {
 				t.Fatalf("%s disagrees with reference for %+v: got %d rows, want %d",
@@ -69,7 +68,7 @@ func TestScanKernelsAgree(t *testing.T) {
 func TestScanAppendsToExistingBuffer(t *testing.T) {
 	data := []storage.Value{1, 5, 3}
 	out := []storage.RowID{99}
-	got := Scan(data, Predicate{Lo: 3, Hi: 5}, out)
+	got := Scan(data, Predicate{Lo: 3, Hi: 5}, 0, out)
 	want := []storage.RowID{99, 1, 2}
 	if !sameRowIDs(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -77,15 +76,15 @@ func TestScanAppendsToExistingBuffer(t *testing.T) {
 }
 
 func TestScanEmptyInput(t *testing.T) {
-	if got := Scan(nil, Predicate{Lo: 0, Hi: 10}, nil); len(got) != 0 {
+	if got := Scan(nil, Predicate{Lo: 0, Hi: 10}, 0, nil); len(got) != 0 {
 		t.Fatalf("scan of empty input returned %v", got)
 	}
-	if got := ScanUnrolled(nil, Predicate{Lo: 0, Hi: 10}, nil); len(got) != 0 {
+	if got := ScanUnrolled(nil, Predicate{Lo: 0, Hi: 10}, 0, nil); len(got) != 0 {
 		t.Fatalf("unrolled scan of empty input returned %v", got)
 	}
 }
 
-func TestScanColumnStrided(t *testing.T) {
+func TestStridedSource(t *testing.T) {
 	g, err := storage.NewColumnGroup(
 		[]string{"a", "b"},
 		[][]storage.Value{{1, 2, 3, 4}, {10, 20, 30, 40}},
@@ -93,20 +92,19 @@ func TestScanColumnStrided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ScanColumn(g.Column("b"), Predicate{Lo: 20, Hi: 30}, 0, nil)
+	got := sweep1(t, NewStrided(g.Column("b"), 0, nil), Predicate{Lo: 20, Hi: 30})
 	if !sameRowIDs(got, []storage.RowID{1, 2}) {
 		t.Fatalf("strided scan = %v", got)
 	}
-	// With a base offset (partitioned execution).
-	got = ScanColumn(g.Column("b"), Predicate{Lo: 20, Hi: 30}, 100, nil)
-	if !sameRowIDs(got, []storage.RowID{101, 102}) {
-		t.Fatalf("strided scan with base = %v", got)
+	// Blocks emit relation-absolute rowIDs.
+	got = sweep1(t, NewStrided(g.Column("b"), 3, nil), Predicate{Lo: 40, Hi: 40})
+	if !sameRowIDs(got, []storage.RowID{3}) {
+		t.Fatalf("strided scan of the second block = %v", got)
 	}
 }
 
-func TestScanColumnContiguousWithBase(t *testing.T) {
-	c := storage.NewColumn("v", []storage.Value{5, 6, 7})
-	got := ScanColumn(c, Predicate{Lo: 6, Hi: 7}, 1000, nil)
+func TestScanUnrolledWithBase(t *testing.T) {
+	got := ScanUnrolled([]storage.Value{5, 6, 7}, Predicate{Lo: 6, Hi: 7}, 1000, nil)
 	if !sameRowIDs(got, []storage.RowID{1001, 1002}) {
 		t.Fatalf("contiguous scan with base = %v", got)
 	}
@@ -122,8 +120,8 @@ func TestScanQuickAgainstReference(t *testing.T) {
 		}
 		p := Predicate{Lo: lo, Hi: hi}
 		want := reference(data, p)
-		return sameRowIDs(Scan(data, p, nil), want) &&
-			sameRowIDs(ScanUnrolled(data, p, nil), want)
+		return sameRowIDs(Scan(data, p, 0, nil), want) &&
+			sameRowIDs(ScanUnrolled(data, p, 0, nil), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -139,7 +137,7 @@ func TestPredicateMatches(t *testing.T) {
 	}
 }
 
-func TestSharedStridedMatchesReference(t *testing.T) {
+func TestStridedSourceMatchesReference(t *testing.T) {
 	n := 30000
 	cols := make([][]storage.Value, 4)
 	for j := range cols {
@@ -151,22 +149,11 @@ func TestSharedStridedMatchesReference(t *testing.T) {
 	}
 	target := g.Column("c")
 	preds := randomPreds(21, 7, 1<<16, 3000)
-	for _, workers := range []int{1, 4, 16} {
-		results := SharedStrided(target, preds, 1024, workers)
-		for qi, p := range preds {
-			want := reference(cols[2], p)
-			if !sameRowIDs(results[qi], want) {
-				t.Fatalf("workers=%d query %d disagrees (%d vs %d rows)",
-					workers, qi, len(results[qi]), len(want))
-			}
-		}
-	}
-	// Contiguous columns fall through to the flat shared scan.
-	flat := storage.NewColumn("x", cols[0])
-	results := SharedStrided(flat, preds, 0, 4)
+	results := sweep(t, NewStrided(target, 1024, nil), preds)
 	for qi, p := range preds {
-		if !sameRowIDs(results[qi], reference(cols[0], p)) {
-			t.Fatalf("contiguous fallthrough query %d disagrees", qi)
+		want := reference(cols[2], p)
+		if !sameRowIDs(results[qi], want) {
+			t.Fatalf("query %d disagrees (%d vs %d rows)", qi, len(results[qi]), len(want))
 		}
 	}
 }

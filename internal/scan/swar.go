@@ -9,9 +9,10 @@ import (
 // code layout (storage.PackedCodes): four 16-bit codes per uint64, all
 // four compared against a query's code bounds with plain 64-bit
 // arithmetic — no branches, no per-tuple stores. The scan's per-tuple
-// work becomes a handful of word operations; matches surface as bitmap
-// words whose set positions are materialized into rowIDs only at the
-// end (internal/bitmap), so the cost that scales with selectivity is
+// work becomes a handful of word operations; matches surface as a
+// 64-code match word kept in a register, whose set positions are
+// materialized into rowIDs only when the word is non-zero
+// (internal/bitmap), so the cost that scales with selectivity is
 // separated from the cost that scales with N. This is the BitWeaving-
 // style trick the paper's Appendix D assumes when it credits the scan
 // with W-way parallelism.
@@ -100,52 +101,4 @@ func appendPackedMatches(packed []uint64, codes []storage.Code, lo, hi int,
 		}
 	}
 	return out
-}
-
-// swarRangeBitmap fills bm with the match bitmap of codes [lo, hi):
-// bit i-lo is set iff clo <= codes[i] <= chi. bm must hold
-// bitmap.Words(hi-lo) words; it is fully (re)written, so pooled buffers
-// need no clearing by the caller. Block starts aligned to 64 codes take
-// the register-accumulating fast path; arbitrary starts (ragged blocks
-// in tests, tail blocks) place each packed word's four flags at bit
-// offset i-lo, spilling into the next bitmap word when they straddle.
-func swarRangeBitmap(packed []uint64, codes []storage.Code, lo, hi int,
-	clo, chi storage.Code, bm []uint64) {
-	nbits := hi - lo
-	nwords := bitmap.Words(nbits)
-	bm = bm[:nwords]
-	for w := range bm {
-		bm[w] = 0
-	}
-	i := lo
-	lov, hiv := bcast16(clo), bcast16(chi)
-	if lo&(swarWordCodes-1) == 0 {
-		w := 0
-		for ; i+swarWordCodes <= hi; i, w = i+swarWordCodes, w+1 {
-			bm[w] = swarMatchWord(packed, i>>2, lov, hiv)
-		}
-	}
-	// Scalar to packed-word alignment (only when lo itself is unaligned).
-	for ; i < hi && i&(storage.CodesPerWord-1) != 0; i++ {
-		if c := codes[i]; c >= clo && c <= chi {
-			bm[(i-lo)>>6] |= 1 << (uint(i-lo) & 63)
-		}
-	}
-	// Packed words at arbitrary bit offsets; four flags can straddle two
-	// bitmap words (shifts >= 64 vanish in Go, so the spill guard keys on
-	// the offset, not the shifted value).
-	for ; i+storage.CodesPerWord <= hi; i += storage.CodesPerWord {
-		if f := swarRangeFlags(packed[i>>2], lov, hiv); f != 0 {
-			o := uint(i - lo)
-			bm[o>>6] |= f << (o & 63)
-			if o&63 > 60 {
-				bm[o>>6+1] |= f >> (64 - o&63)
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		if c := codes[i]; c >= clo && c <= chi {
-			bm[(i-lo)>>6] |= 1 << (uint(i-lo) & 63)
-		}
-	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"fastcolumns/internal/bitmap"
 	"fastcolumns/internal/race"
-	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/storage"
 )
 
@@ -74,11 +72,11 @@ func FuzzSWARWord(f *testing.F) {
 	})
 }
 
-// TestSWARRangeBitmapRaggedSpans pins swarRangeBitmap at every (lo, hi)
-// alignment class — aligned starts take the register fast path, ragged
-// starts exercise the straddle spill — against the scalar reference,
-// through the bitmap materializer.
-func TestSWARRangeBitmapRaggedSpans(t *testing.T) {
+// TestPackedMatchesRaggedSpans pins appendPackedMatches at every
+// (lo, hi) alignment class — aligned spans take the 64-code word
+// kernel, ragged heads and tails the packed-word and scalar paths —
+// against the scalar reference.
+func TestPackedMatchesRaggedSpans(t *testing.T) {
 	const n = 520
 	data := make([]storage.Value, n)
 	for i := range data {
@@ -93,36 +91,28 @@ func TestSWARRangeBitmapRaggedSpans(t *testing.T) {
 	if !ok {
 		t.Fatal("predicate resolved to an empty code range")
 	}
-	bm := make([]uint64, bitmap.Words(n))
 	var out []storage.RowID
 	for _, lo := range []int{0, 1, 3, 61, 63, 64, 67, 128, 200} {
 		for _, hi := range []int{lo, lo + 1, lo + 3, lo + 63, lo + 64, lo + 65, n} {
 			if hi > n || hi < lo {
 				continue
 			}
-			swarRangeBitmap(cc.PackedCodes(), cc.Codes(), lo, hi, clo, chi, bm)
-			out = bitmap.AppendRows(bm, hi-lo, lo, out[:0])
+			out = appendPackedMatches(cc.PackedCodes(), cc.Codes(), lo, hi, clo, chi, out[:0])
 			want := refFilter(data[lo:hi], p)
 			for i := range want {
 				want[i] += storage.RowID(lo)
 			}
 			sameIDs(t, fmt.Sprintf("span[%d:%d]", lo, hi), out, want)
-			if got, w := bitmap.CountRows(bm, hi-lo), len(want); got != w {
-				t.Errorf("CountRows(span[%d:%d]) = %d, want %d", lo, hi, got, w)
-			}
 		}
 	}
 }
 
 // TestDifferentialPackedKernels extends the differential property to the
 // packed-scan variants the benchmark compares: the scalar ablation
-// baseline and the pooled SWAR morsel path must both agree with the
-// naive reference on the whole corpus, at block sizes that are and are
-// not multiples of the 64-code bitmap word.
+// baseline and the SWAR source must both agree with the naive reference
+// on the whole corpus, at block sizes that are and are not multiples of
+// the 64-code match word.
 func TestDifferentialPackedKernels(t *testing.T) {
-	pool := rt.NewPool(3, nil)
-	defer pool.Close()
-	arena := rt.NewArena(0, nil)
 	for _, tc := range corpus() {
 		col := storage.NewColumn("v", tc.data)
 		cc, err := storage.Compress(col)
@@ -139,22 +129,18 @@ func TestDifferentialPackedKernels(t *testing.T) {
 				sameIDs(t, fmt.Sprintf("%s/SharedCompressedScalar/block%d/pred%d", tc.name, block, i),
 					gs[i], want[i])
 			}
-			res, err := SharedCompressedPool(pool, arena, cc, tc.preds, block, nil)
-			if err != nil {
-				t.Fatalf("%s/SharedCompressedPool/block%d: %v", tc.name, block, err)
-			}
+			gp := sweep(t, NewPacked(cc, block, nil), tc.preds)
 			for i := range tc.preds {
-				sameIDs(t, fmt.Sprintf("%s/SharedCompressedPool/block%d/pred%d", tc.name, block, i),
-					res.RowIDs[i], want[i])
+				sameIDs(t, fmt.Sprintf("%s/Packed/block%d/pred%d", tc.name, block, i),
+					gp[i], want[i])
 			}
-			res.Release()
 		}
 	}
 }
 
 // TestSWARKernelsZeroAlloc pins the steady-state allocation contract of
-// the packed hot path: with warm buffers, the SWAR scan, the bitmap
-// kernel, and rowID materialization allocate nothing per call. The
+// the packed hot path: with a warm buffer, the SWAR kernel and the
+// packed source's block scan allocate nothing per call. The
 // packed cost model charges alpha only for result writing; a hidden
 // allocation per block would add a GC term it doesn't know about.
 func TestSWARKernelsZeroAlloc(t *testing.T) {
@@ -176,16 +162,15 @@ func TestSWARKernelsZeroAlloc(t *testing.T) {
 	}
 	packed, codes := cc.PackedCodes(), cc.Codes()
 	buf := make([]storage.RowID, 0, len(data)+1)
-	bm := make([]uint64, bitmap.Words(len(data)))
+	src := NewPacked(cc, 0, nil)
+	bound := src.Bind(p)
 
 	sites := []struct {
 		name string
 		op   func()
 	}{
-		{"Compressed", func() { buf = Compressed(cc, p, buf[:0]) }},
+		{"Packed.ScanBlock", func() { buf, _ = src.ScanBlock(0, bound, buf[:0]) }},
 		{"appendPackedMatches", func() { buf = appendPackedMatches(packed, codes, 0, len(codes), clo, chi, buf[:0]) }},
-		{"swarRangeBitmap", func() { swarRangeBitmap(packed, codes, 0, len(codes), clo, chi, bm) }},
-		{"bitmap.AppendRows", func() { buf = bitmap.AppendRows(bm, len(data), 0, buf[:0]) }},
 	}
 	for _, site := range sites {
 		if n := testing.AllocsPerRun(100, site.op); n != 0 {

@@ -62,6 +62,20 @@ func (z *Zonemap) Skippable(zi int, lo, hi Value) bool {
 	return z.maxs[zi] < lo || z.mins[zi] > hi
 }
 
+// Prunes reports whether rows [lo, hi) provably hold no value in
+// [vlo, vhi]: every zone overlapping the range is skippable. Zone and
+// range boundaries need not align. It makes the zonemap a block pruner
+// for shared-scan passes, where each query prunes for itself — so
+// skipping survives concurrency instead of decaying with it.
+func (z *Zonemap) Prunes(lo, hi int, vlo, vhi Value) bool {
+	for zi := lo / z.zoneSize; zi < len(z.mins) && zi*z.zoneSize < hi; zi++ {
+		if !z.Skippable(zi, vlo, vhi) {
+			return false
+		}
+	}
+	return true
+}
+
 // SkippableForAll reports whether zone zi is skippable for every query
 // range in the batch — the shared-scan condition that makes zonemaps lose
 // power as concurrency grows (Section 2.1).

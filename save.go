@@ -38,11 +38,9 @@ func (e *Engine) LoadTable(dir string) (*Table, error) {
 		hists:  make(map[string]*stats.Histogram),
 	}
 	for _, name := range st.ColumnNames() {
-		col, err := st.Column(name)
-		if err != nil {
+		if err := t.buildRelation(name); err != nil {
 			return nil, err
 		}
-		t.rels[name] = &exec.Relation{Column: col}
 	}
 	e.tables[st.Name()] = t
 	return t, nil

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastcolumns/internal/coop"
 	"fastcolumns/internal/obs"
 	"fastcolumns/internal/scheduler"
 	"fastcolumns/internal/storage"
@@ -45,12 +44,10 @@ var ErrBatchPanic = scheduler.ErrBatchPanic
 type Server struct {
 	engine *Engine
 	sched  *scheduler.Scheduler
-	// coop, when non-nil (ServeOptions.Cooperative), runs shared-scan
-	// batches as attachable passes and adopts late submissions mid-pass;
-	// window mirrors the scheduler's batching window for the model's
-	// attach-vs-wait term.
-	coop   *coop.Manager
-	window time.Duration
+	// window mirrors the scheduler's batching window, and maxAttach the
+	// per-pass adoption cap, for the Attach hook (ServeOptions.Cooperative).
+	window    time.Duration
+	maxAttach int
 
 	recovered  atomic.Int64
 	fallbacks  atomic.Int64
@@ -108,7 +105,7 @@ type ServerStats struct {
 func (s *Server) Stats(table, attr string) AttrStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.stats[table+"\x00"+attr]
+	st, ok := s.stats[passKey(table, attr)]
 	if !ok {
 		return AttrStats{PathCounts: map[string]int64{}}
 	}
@@ -167,10 +164,9 @@ type ServeOptions struct {
 	// MaxInFlight bounds concurrently executing batches server-wide;
 	// while saturated Submit fails fast with ErrOverloaded (default 64).
 	MaxInFlight int
-	// Cooperative runs shared-scan batches through the cooperative pass
-	// manager: a query arriving while a pass over its column is in
-	// flight attaches at the pass cursor (its missed prefix served by a
-	// wrap-around continuation) instead of waiting out the batching
+	// Cooperative lets a query arriving while a scan pass over its column
+	// is in flight attach at the pass cursor (its missed prefix served by
+	// a wrap-around continuation) instead of waiting out the batching
 	// window, whenever the model's attach-vs-wait term prices attaching
 	// cheaper. Off by default.
 	Cooperative bool
@@ -184,7 +180,7 @@ type ServeOptions struct {
 
 // Serve starts a server over the engine's tables.
 func (e *Engine) Serve(opt ServeOptions) *Server {
-	s := &Server{engine: e, stats: make(map[string]*AttrStats)}
+	s := &Server{engine: e, stats: make(map[string]*AttrStats), maxAttach: opt.CoopMaxAttach}
 	s.window = opt.Window
 	if s.window <= 0 {
 		s.window = time.Millisecond // mirror the scheduler's default for the wait-cost term
@@ -197,12 +193,6 @@ func (e *Engine) Serve(opt ServeOptions) *Server {
 		Metrics:     e.observer.Metrics,
 	}
 	if opt.Cooperative {
-		s.coop = coop.NewManager(coop.Options{
-			Arena:     e.arena,
-			Metrics:   e.observer.Metrics,
-			Workers:   e.pool.Workers(),
-			MaxAttach: opt.CoopMaxAttach,
-		})
 		schedOpt.Attach = s.tryAttach
 	}
 	s.sched = scheduler.New(s.execBatch, schedOpt)
@@ -244,18 +234,18 @@ func (s *Server) SubmitContext(ctx context.Context, table, attr string, pred Pre
 	if _, err := s.engine.Table(table); err != nil {
 		return nil, err
 	}
-	return s.sched.SubmitContext(ctx, table+"\x00"+attr, pred)
+	return s.sched.SubmitContext(ctx, passKey(table, attr), pred)
 }
 
 // Flush forces immediate execution of whatever is pending on table.attr.
 func (s *Server) Flush(table, attr string) {
-	s.sched.Flush(table + "\x00" + attr)
+	s.sched.Flush(passKey(table, attr))
 }
 
 // Pending reports the queries currently waiting on table.attr — the
 // outstanding-query statistic of Section 3.
 func (s *Server) Pending(table, attr string) int {
-	return s.sched.Pending(table + "\x00" + attr)
+	return s.sched.Pending(passKey(table, attr))
 }
 
 // Close drains every pending batch and stops the server.
@@ -291,34 +281,18 @@ func (s *Server) execBatch(ctx context.Context, key string, preds []Predicate) (
 		slot[i] = len(unique)
 		unique = append(unique, p)
 	}
-	var res BatchResult
-	routed := false
-	if s.coop != nil {
-		// Cooperative mode: run shared-scan batches as attachable passes.
-		// A panic mid-pass keeps routed=true so the scan fallback below
-		// still answers the founders (mid-pass attachers were already
-		// error-delivered when the pass closed).
-		routed = true
-		res, err = s.selectRecovered(func() (BatchResult, error) {
-			r, ok, coopErr := t.selectBatchCoop(ctx, key, attr, unique, s.coop)
-			if !ok {
-				routed = false
-			}
-			return r, coopErr
-		})
-	}
-	if !routed {
-		res, err = s.selectRecovered(func() (BatchResult, error) {
-			return t.SelectBatchContext(ctx, attr, unique)
-		})
-	}
+	res, err := s.selectRecovered(func() (BatchResult, error) {
+		return t.SelectBatchContext(ctx, attr, unique)
+	})
 	if err != nil && retryable(ctx, err) {
-		// The chosen path failed on a real fault; the full scan needs no
-		// auxiliary structure, so it is the safe place to retry once.
+		// The chosen path failed on a real fault; the scan of the base
+		// column needs no auxiliary structure, so it is the safe place to
+		// retry once. (A scan pass that panicked has already
+		// error-delivered the queries it adopted.)
 		s.fallbacks.Add(1)
 		first := err
 		res, err = s.selectRecovered(func() (BatchResult, error) {
-			return t.SelectViaContext(ctx, PathScan, attr, unique)
+			return t.selectVia(ctx, PathScan, attr, unique, true)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fastcolumns: batch failed on chosen path (%v) and on scan fallback: %w", first, err)

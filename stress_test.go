@@ -254,11 +254,10 @@ func TestFaultInjectionPanicIsolatedPerBatch(t *testing.T) {
 }
 
 // TestFaultInjectionMaterializeErrorFallsBackToScan injects an error at
-// the SWAR scan's bitmap-materialization boundary (the point where match
-// bitmaps become rowIDs inside a pool worker). The morsel job must
-// surface it as a batch error — not a lost result or a hang — and the
-// server's one-shot fallback, re-running the scan with the injector's
-// budget spent, must answer cleanly.
+// the SWAR scan's materialization boundary (the point where match words
+// become rowIDs inside a pool worker). The pass must surface it as a
+// batch error — not a lost result or a hang — and the server's one-shot
+// fallback, a scan of the base column, must answer cleanly.
 func TestFaultInjectionMaterializeErrorFallsBackToScan(t *testing.T) {
 	eng, tbl := chaosEngine(t)
 	if err := tbl.Compress("a"); err != nil {
@@ -292,10 +291,13 @@ func TestFaultInjectionMaterializeErrorFallsBackToScan(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionMaterializePanicIsolated: a panic at the same
-// boundary rides the pool's panic relay — both the chosen-path attempt
-// and the fallback retry are poisoned, the submitter sees ErrBatchPanic,
-// and the attribute recovers once the injector is gone.
+// TestFaultInjectionMaterializePanicIsolated: a persistent panic at the
+// same boundary poisons the packed scan for good, but the fallback scans
+// the base column — no compressed twin, so it never crosses the site —
+// and absorbs it: the submitter gets the rows a naive filter selects.
+// Poisoning a site the fallback does cross (exec.scan) then fails both
+// attempts: the submitter sees ErrBatchPanic, and the attribute recovers
+// once the injector is gone.
 func TestFaultInjectionMaterializePanicIsolated(t *testing.T) {
 	eng, tbl := chaosEngine(t)
 	if err := tbl.Compress("a"); err != nil {
@@ -313,19 +315,38 @@ func TestFaultInjectionMaterializePanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Flush("t", "a")
-	if r := <-ch; !errors.Is(r.Err, ErrBatchPanic) {
-		t.Fatalf("materialize-poisoned batch reply: %v, want ErrBatchPanic", r.Err)
+	r := <-ch
+	deactivate()
+	if r.Err != nil {
+		t.Fatalf("fallback did not absorb the persistent materialize panic: %v", r.Err)
+	}
+	if !equalIDs(r.RowIDs, refRowIDs(workload.Uniform(1, 20000, 5000), p)) {
+		t.Fatal("fallback answer differs from a naive filter")
 	}
 	st := srv.ServerStats()
-	if st.RecoveredPanics != 2 {
-		t.Fatalf("RecoveredPanics = %d, want 2 (chosen path + fallback)", st.RecoveredPanics)
+	if st.RecoveredPanics != 1 {
+		t.Fatalf("RecoveredPanics = %d, want 1 (chosen path only)", st.RecoveredPanics)
+	}
+	if st.FallbackRetries != 1 || st.FallbackSuccesses != 1 {
+		t.Fatalf("fallback retries/successes = %d/%d, want 1/1", st.FallbackRetries, st.FallbackSuccesses)
+	}
+
+	deactivate = faultinject.Activate(faultinject.New(1,
+		faultinject.Rule{Site: "exec.scan", Kind: faultinject.Panic, Prob: 1}))
+	ch, _ = srv.Submit("t", "a", p)
+	srv.Flush("t", "a")
+	if r := <-ch; !errors.Is(r.Err, ErrBatchPanic) {
+		t.Fatalf("scan-poisoned batch reply: %v, want ErrBatchPanic", r.Err)
+	}
+	if st := srv.ServerStats(); st.RecoveredPanics != 3 {
+		t.Fatalf("RecoveredPanics = %d, want 3 (one absorbed, then chosen path + fallback)", st.RecoveredPanics)
 	}
 
 	deactivate()
 	ch, _ = srv.Submit("t", "a", p)
 	srv.Flush("t", "a")
 	if r := <-ch; r.Err != nil {
-		t.Fatalf("attribute did not recover after materialize panics: %v", r.Err)
+		t.Fatalf("attribute did not recover after scan panics: %v", r.Err)
 	}
 }
 
