@@ -56,7 +56,7 @@ race:
 # queries run. They are part of `race` too; this target names them so
 # CI reports the drift loop as its own gate.
 refitsoak:
-	$(GO) test -race -run 'Refit|RobustMode|EstimateError' . ./internal/refit
+	$(GO) test -race -run 'Refit' . ./internal/refit
 
 # loadsmoke runs the load-harness acceptance suite under the race
 # detector: the deterministic loadgen unit tests plus the integration
@@ -84,12 +84,12 @@ coopsmoke:
 
 # diffalloc runs the differential suites (every kernel and source, and
 # every source through the pass driver, must select the same rowIDs as
-# the naive reference) and the zero-allocation guards on the scan and
-# observability hot paths. Both run inside `test` too; this target names
+# the naive reference) and the zero-allocation guards on the scan,
+# index-count and observability hot paths. Both run inside `test` too; this target names
 # them so CI reports them as their own gate and developers can run just
 # these quickly.
 diffalloc:
-	$(GO) test -run 'Differential|ZeroAlloc' ./internal/scan ./internal/coop ./internal/obs ./internal/runtime
+	$(GO) test -run 'Differential|ZeroAlloc' ./internal/scan ./internal/coop ./internal/obs ./internal/runtime ./internal/index
 
 # benchsmoke vets and tests the nested benchmark/ module. It has its own
 # go.mod (with a replace to this tree), so `go build ./... && go test
@@ -100,12 +100,12 @@ benchsmoke:
 
 # Runs each fuzz target's seed corpus as regular tests (no fuzzing engine).
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/dsl ./internal/persist ./internal/scan ./internal/coop
+	$(GO) test -run Fuzz ./internal/dsl ./internal/persist ./internal/scan ./internal/coop ./internal/index
 
 # bench runs the Go micro-benchmarks with allocation reporting, then the
 # Figure 18 + skewed-batch experiment driver, writing the machine-readable
 # document BENCH_$(BENCH_STAMP).json at the repo root (schema
-# fastcolumns/bench_aps/v6, documented in EXPERIMENTS.md). -hw1 skips
+# fastcolumns/bench_aps/v7, documented in EXPERIMENTS.md). -hw1 skips
 # host calibration so the target is fast and deterministic enough for CI;
 # drop it (run cmd/bench by hand) for a calibrated run.
 bench:
@@ -116,11 +116,8 @@ bench:
 # SWAR kernels) and fails when any speedup ratio fell below tolerance
 # against the committed baseline document (each baseline ratio capped
 # at its experiment's noise ceiling, so a lucky baseline draw cannot
-# ratchet the bar above what the experiment reliably reproduces), when
-# robust-mode decisions
-# stop beating fixed-APS by 1.15x on model regret under 4x selectivity
-# underestimates (the schema-v4 regret grid), or when the schema-v5
-# load sweep misbehaves: the rate ladder must bracket the saturation
+# ratchet the bar above what the experiment reliably reproduces), or
+# when the schema-v5 load sweep misbehaves: the rate ladder must bracket the saturation
 # knee, no rung may pin p99 at the per-query deadline with zero
 # shedding (unbounded queueing), and worst below-knee p99 may not
 # regress more than 10% over the baseline (above a deadline-fraction

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"fastcolumns/internal/adaptive"
 	"fastcolumns/internal/baseline"
 	"fastcolumns/internal/bitmap"
 	"fastcolumns/internal/coop"
@@ -815,38 +814,6 @@ func BenchmarkPersist(b *testing.B) {
 		b.SetBytes(int64(len(f.data) * 4))
 		for i := 0; i < b.N; i++ {
 			if _, err := persist.LoadColumnFile(path); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationAdaptive: up-front APS vs the Smooth-Scan-style
-// adaptive operator under good and bad selectivity estimates (the §6
-// trade-off: adaptivity buys robustness, APS buys zero waste when the
-// estimate holds).
-func BenchmarkAblationAdaptive(b *testing.B) {
-	f := getFixture(b)
-	budget := adaptive.BudgetFromModel(benchN, 4, model.HW1(), model.FittedDesign())
-	narrow := scan.Predicate{Lo: 0, Hi: benchDomain / 1000} // ~0.1%: estimate good
-	wide := scan.Predicate{Lo: 0, Hi: benchDomain / 4}      // ~25%: estimate that said 0.1% was wrong
-	b.Run("adaptive/good_estimate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := adaptive.SelectContext(context.Background(), f.rel, narrow, budget, exec.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("adaptive/bad_estimate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := adaptive.SelectContext(context.Background(), f.rel, wide, budget, exec.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("forced_index/bad_estimate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.RunIndex(context.Background(), f.rel, []scan.Predicate{wide}, exec.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,7 +28,6 @@ import (
 	"fastcolumns/internal/optimizer"
 	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/scan"
-	"fastcolumns/internal/stats"
 	"fastcolumns/internal/storage"
 	"fastcolumns/internal/workload"
 )
@@ -48,10 +47,6 @@ func main() {
 	data := workload.Uniform(1, *n, domain)
 	col := storage.NewColumn("v", data)
 	rel := &exec.Relation{Column: col, Index: index.Build(col, index.DefaultFanout)}
-	hist, err := stats.BuildHistogram(col, 128)
-	if err != nil {
-		log.Fatal(err)
-	}
 	hw := model.HW1()
 	design := model.FittedDesign()
 	if *hwfile != "" {
@@ -110,7 +105,8 @@ func main() {
 		idx := measure(model.PathIndex, preds)
 		scn := measure(model.PathScan, preds)
 
-		d := opt.Decide(rel, hist, preds)
+		// The index counts every selectivity exactly; no histogram needed.
+		d := opt.Decide(rel, nil, preds)
 		aps := measure(d.Path, preds)
 
 		best := "index"
@@ -188,15 +184,6 @@ func main() {
 	fmt.Printf("packed-scan drift: global ratio %.2f, max drift %.3f (threshold %.3f), stale=%v\n",
 		comp.Drift.GlobalRatio, comp.Drift.MaxDrift, comp.Drift.Threshold, comp.Drift.Stale)
 
-	// The schema-v4 estimate-error ablation: score each decision mode's
-	// choices under injected misestimation against the grid's measured
-	// oracle.
-	regret := measureRegretGrid(rel, hist, hw, design, cells, domain, *trials)
-	for _, s := range regret.Summary {
-		fmt.Printf("regret %-10s err=%-4g measured mean %.2fx max %.2fx, model mean %.2fx max %.2fx\n",
-			s.Mode, s.ErrFactor, s.MeanRegret, s.MaxRegret, s.MeanModelRegret, s.MaxModelRegret)
-	}
-
 	// The schema-v5 load section: open-loop sweeps over the serve path,
 	// locating the saturation knee per query mix.
 	ld := measureLoad(*n)
@@ -208,13 +195,12 @@ func main() {
 	printCoop(cp)
 
 	out := benchOutput{
-		Schema: "fastcolumns/bench_aps/v6",
+		Schema: "fastcolumns/bench_aps/v7",
 		N:      *n, Trials: *trials,
 		Hardware: hw, Design: design,
 		Cells: cells, MatchedBest: matched, TotalCells: len(specs),
 		Skew:       skew,
 		Compressed: comp,
-		Regret:     regret,
 		Load:       ld,
 		Coop:       cp,
 	}
@@ -232,16 +218,13 @@ func main() {
 		if err := compareBaseline(*compare, out); err != nil {
 			log.Fatal(err)
 		}
-		if err := regretGate(out.Regret); err != nil {
-			log.Fatal(err)
-		}
 		if err := loadGate(out.Load); err != nil {
 			log.Fatal(err)
 		}
 		if err := coopGate(out.Coop); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("no regression against %s; robust mode beats fixed-APS under 4x misestimates; load knee bracketed with shed engaged past it; cooperative p99 beats next-window by 10%% at the straggler rung\n", *compare)
+		fmt.Printf("no regression against %s; load knee bracketed with shed engaged past it; cooperative p99 beats next-window by 10%% at the straggler rung\n", *compare)
 	}
 }
 
@@ -534,10 +517,9 @@ type benchOutput struct {
 	TotalCells  int              `json:"total_cells"`
 	Skew        skewResult       `json:"skew"`
 	Compressed  compressedResult `json:"compressed"`
-	// Regret is the schema-v4 addition: the estimate-error ablation grid
-	// (aps-fixed vs aps-refit vs aps-robust vs adaptive against the
-	// measured oracle).
-	Regret regretResult `json:"regret"`
+	// The schema-v4 regret section (the estimate-error ablation) was
+	// retired in v7, when indexed decisions began counting selectivity
+	// exactly; older documents still carry it and parse unchanged.
 	// Load is the schema-v5 addition: open-loop latency-vs-offered-load
 	// sweeps over the serve path, per query mix, with the saturation
 	// knee located on a capacity-relative rate ladder.

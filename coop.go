@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fastcolumns/internal/model"
+	"fastcolumns/internal/optimizer"
 	"fastcolumns/internal/scheduler"
 	"fastcolumns/internal/storage"
 )
@@ -51,13 +52,7 @@ func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deli
 		Hardware: snap.HW,
 		Design:   snap.Design,
 	}
-	var attach bool
-	var attachCost, waitCost float64
-	if snap.Robust.Enabled() && snap.Robust.ErrorBound > 1 {
-		attach, attachCost, waitCost = model.ShouldAttachRobust(p, st, snap.Robust.ErrorBound)
-	} else {
-		attach, attachCost, waitCost = model.ShouldAttach(p, st)
-	}
+	attach, attachCost, waitCost := model.ShouldAttach(p, st)
 	if !attach {
 		return false
 	}
@@ -68,9 +63,10 @@ func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deli
 	})
 }
 
-// attachEstimate returns the histogram selectivity estimate (a nominal
-// 1% when the attribute was never analyzed) and tuple size the
-// attach-vs-wait term prices with.
+// attachEstimate returns the selectivity (optimizer.Selectivity: exact
+// with an index, the histogram's estimate without; a nominal 1% when the
+// attribute has neither) and tuple size the attach-vs-wait term prices
+// with.
 func (t *Table) attachEstimate(attr string, pred Predicate) (sel, tupleSize float64, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -78,9 +74,10 @@ func (t *Table) attachEstimate(attr string, pred Predicate) (sel, tupleSize floa
 	if !found {
 		return 0, 0, false
 	}
+	h := t.hists[attr]
 	sel = 0.01
-	if h := t.hists[attr]; h != nil {
-		sel = h.EstimateRange(pred.Lo, pred.Hi)
+	if rel.Index != nil || h != nil {
+		sel = optimizer.Selectivity(rel, h, pred)
 	}
 	return sel, float64(rel.Column.TupleSize()), true
 }

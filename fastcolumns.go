@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"fastcolumns/internal/adaptive"
 	"fastcolumns/internal/bitmap"
 	"fastcolumns/internal/coop"
 	"fastcolumns/internal/exec"
@@ -76,10 +75,6 @@ type Decision = optimizer.Decision
 // starting point with one.
 type Design = model.Design
 
-// RobustPolicy configures the estimate-error-robust decision mode: see
-// Config.Robust.
-type RobustPolicy = optimizer.RobustPolicy
-
 // Re-exported path constants.
 const (
 	PathScan   = model.PathScan
@@ -118,10 +113,6 @@ type Config struct {
 	// or for experiments that start from deliberately stale constants to
 	// exercise the drift/refit loop.
 	Design *Design
-	// Robust enables the estimate-error-robust decision mode: batches
-	// whose flip margin falls below Robust.MarginThreshold are hedged by
-	// minimax regret or routed to the adaptive path. Zero value disables.
-	Robust RobustPolicy
 	// EnableRefit starts a background controller that watches the drift
 	// accounting and, when the fitted constants go stale on this host,
 	// re-fits them from live traces and hot-swaps the optimizer's design.
@@ -167,9 +158,6 @@ func New(cfg Config) *Engine {
 	opt := optimizer.New(hw)
 	if cfg.Design != nil {
 		opt = optimizer.NewWithDesign(hw, *cfg.Design)
-	}
-	if cfg.Robust.Enabled() || cfg.Robust.EstimateError > 0 {
-		opt.SetRobust(cfg.Robust)
 	}
 	e := &Engine{
 		hw:          hw,
@@ -411,7 +399,9 @@ func (t *Table) BuildZonemap(attr string, zoneSize int) error {
 }
 
 // Analyze builds the equi-depth histogram the optimizer estimates
-// selectivity from.
+// selectivity from on attributes without a secondary index (an indexed
+// attribute's selectivities are counted exactly), and the query
+// planner's conjunct estimates.
 func (t *Table) Analyze(attr string, buckets int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -481,14 +471,6 @@ func (t *Table) SelectBatchContext(ctx context.Context, attr string, preds []Pre
 		return BatchResult{}, err
 	}
 	d := t.engine.opt.Decide(rel, t.hists[attr], preds)
-	if d.RouteAdaptive {
-		// The robust policy judged the batch's flip margin too thin to
-		// commit to either static path: answer it on the Smooth-Scan
-		// adaptive path, which starts probing and morphs into a scan if
-		// the result outgrows the break-even budget — bounded regret
-		// whichever way the estimates were wrong.
-		return t.selectBatchAdaptive(ctx, attr, rel, d, preds)
-	}
 	opt := t.execOptions()
 	opt.Hints = cardinalityHints(d.Selectivities, rel.Column.Len())
 	res, err := exec.Run(ctx, rel, d.Path, preds, opt)
@@ -499,33 +481,9 @@ func (t *Table) SelectBatchContext(ctx context.Context, attr string, preds []Pre
 	return BatchResult{RowIDs: res.RowIDs, Decision: d, Elapsed: res.Elapsed, pooled: res.Pooled}, nil
 }
 
-// selectBatchAdaptive answers a batch query-by-query on the adaptive
-// path. Caller holds t.mu for reading.
-//
-//fclint:owns — per-query adaptive results pass through to the caller.
-func (t *Table) selectBatchAdaptive(ctx context.Context, attr string, rel *exec.Relation, d Decision, preds []Predicate) (BatchResult, error) {
-	snap := t.engine.opt.Snapshot()
-	budget := adaptive.BudgetFromModel(rel.Column.Len(), float64(rel.Column.TupleSize()), snap.HW, snap.Design)
-	start := time.Now()
-	rows := make([][]RowID, len(preds))
-	for i, p := range preds {
-		if err := ctx.Err(); err != nil {
-			return BatchResult{}, err
-		}
-		res, err := adaptive.SelectContext(ctx, rel, p, budget, t.execOptions())
-		if err != nil {
-			return BatchResult{}, err
-		}
-		rows[i] = res.RowIDs
-	}
-	elapsed := time.Since(start)
-	t.observeBatch(attr, rel, d, elapsed, 0)
-	return BatchResult{RowIDs: rows, Decision: d, Elapsed: elapsed}, nil
-}
-
-// cardinalityHints turns the optimizer's per-query selectivity
-// estimates into expected result cardinalities, which size the arena's
-// buffer checkouts so scan kernels stop re-growing mid-scan.
+// cardinalityHints turns the optimizer's per-query selectivities into
+// expected result cardinalities, which size the arena's buffer checkouts
+// so scan kernels stop re-growing mid-scan.
 func cardinalityHints(sels []float64, n int) []int {
 	if len(sels) == 0 {
 		return nil
@@ -561,18 +519,6 @@ func (t *Table) observeBatch(attr string, rel *exec.Relation, d Decision, elapse
 		Elapsed:        elapsed,
 	}
 	e.SetSelectivities(d.Selectivities)
-	if d.RouteAdaptive {
-		// The batch ran on the adaptive path, not the one the static
-		// model predicted for: trace it under its own name and keep it
-		// out of the drift cells, whose measured-vs-predicted ratios are
-		// only meaningful when prediction and execution name the same
-		// path.
-		e.Path = "adaptive"
-		o.Trace.Append(e)
-		o.Metrics.Counter("engine.adaptive_batches").Add(1)
-		o.Metrics.Histogram("engine.batch_ns").Record(elapsed.Nanoseconds())
-		return
-	}
 	if attached > 0 {
 		// The pass also served the queries it adopted and their
 		// wrap-around ranges, so its wall time is not a clean measurement

@@ -423,43 +423,6 @@ func TestSaveAndLoadTable(t *testing.T) {
 	}
 }
 
-func TestSelectAdaptive(t *testing.T) {
-	_, tbl, data := testEngine(t, 100000, 1<<20)
-	// Narrow query: finishes as index, matches reference.
-	p := Predicate{Lo: 100, Hi: 100 + 1<<10}
-	res, err := tbl.SelectAdaptive("v", p.Lo, p.Hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Morphed {
-		t.Fatal("narrow query should not morph")
-	}
-	if !equalIDs(res.RowIDs, refIDs(data, p)) {
-		t.Fatal("adaptive narrow result wrong")
-	}
-	// Wide query: morphs, still correct.
-	wide := Predicate{Lo: 0, Hi: 1 << 19}
-	res, err = tbl.SelectAdaptive("v", wide.Lo, wide.Hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Morphed || res.Wasted == 0 {
-		t.Fatalf("wide query should morph with waste: %+v", res.Morphed)
-	}
-	if !equalIDs(res.RowIDs, refIDs(data, wide)) {
-		t.Fatal("adaptive wide result wrong")
-	}
-	// No index: error.
-	eng2 := New(Config{})
-	t2, _ := eng2.CreateTable("noidx")
-	if err := t2.AddColumn("v", data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t2.SelectAdaptive("v", 0, 10); err == nil {
-		t.Fatal("adaptive select without index accepted")
-	}
-}
-
 func TestExplainRobustness(t *testing.T) {
 	_, tbl, _ := testEngine(t, 2_000_000, 1<<20)
 	// Deep in index territory: wide margin, big penalty.

@@ -1,8 +1,8 @@
 // Package coop is the shared-scan pass driver: every shared scan in the
-// engine — a plain batch, a cooperative batch, the adaptive path's
-// restart scan — is one pass over a Source, and this package is the one
-// place a source's blocks are walked ("From Cooperative Scans to
-// Predictive Buffer Management": one scan manager owns every pass).
+// engine — a plain batch, a cooperative batch — is one pass over a
+// Source, and this package is the one place a source's blocks are walked
+// ("From Cooperative Scans to Predictive Buffer Management": one scan
+// manager owns every pass).
 //
 // A pass cuts the source's blocks into ranges and the founding batch
 // into query chunks, and dispatches the (range × chunk) grid as morsels

@@ -2,11 +2,13 @@
 // index of Section 2.3: a tree with hardware-tuned fanout whose leaves
 // hold (value, rowID) pairs, supporting bulk loading from a column,
 // incremental inserts (for delta merges), range probes that emit rowIDs,
-// and shared multi-query probes across hardware threads.
+// shared multi-query probes across hardware threads, and exact range
+// counts from the subtree counts its internal nodes carry.
 package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fastcolumns/internal/storage"
@@ -19,10 +21,14 @@ const DefaultFanout = 21
 type node struct {
 	id       int // stable identity for simulation traces
 	keys     []storage.Value
-	children []*node         // internal nodes only
-	rowIDs   []storage.RowID // leaves only: rowIDs[i] belongs to keys[i]
-	next     *node           // leaf chain
-	leaf     bool
+	children []*node // internal nodes only
+	// counts[i] is the number of entries under children[:i] (internal
+	// nodes only; one longer than children). Cumulative, so a descent
+	// reads the entries left of the child it takes in one lookup.
+	counts []int
+	rowIDs []storage.RowID // leaves only: rowIDs[i] belongs to keys[i]
+	next   *node           // leaf chain
+	leaf   bool
 }
 
 // Tree is a secondary B+-tree over one column. It stores a copy of the
@@ -114,6 +120,10 @@ func buildFromSorted(keys []storage.Value, ids []storage.RowID, fanout int) *Tre
 			for _, child := range p.children[1:] {
 				p.keys = append(p.keys, smallestKey(child))
 			}
+			p.counts = make([]int, 1, len(p.children)+1)
+			for i, child := range p.children {
+				p.counts = append(p.counts, p.counts[i]+child.size())
+			}
 			parents = append(parents, p)
 		}
 		level = parents
@@ -128,6 +138,14 @@ func (t *Tree) newID() int {
 	id := t.nextID
 	t.nextID++
 	return id
+}
+
+// size returns the number of entries under n.
+func (n *node) size() int {
+	if n.leaf {
+		return len(n.keys)
+	}
+	return n.counts[len(n.counts)-1]
 }
 
 func smallestKey(n *node) storage.Value {
@@ -181,10 +199,12 @@ func (t *Tree) Leaves() int {
 func (t *Tree) Insert(key storage.Value, id storage.RowID) {
 	sepKey, right := t.insert(t.root, key, id)
 	if right != nil {
+		left := t.root.size()
 		t.root = &node{
 			id:       t.newID(),
 			keys:     []storage.Value{sepKey},
 			children: []*node{t.root, right},
+			counts:   []int{0, left, left + right.size()},
 		}
 		t.height++
 	}
@@ -223,29 +243,36 @@ func (t *Tree) insert(n *node, key storage.Value, id storage.RowID) (storage.Val
 		return right.keys[0], right
 	}
 
-	ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
+	ci := upperBound(n.keys, key)
+	for i := ci + 1; i < len(n.counts); i++ {
+		n.counts[i]++
+	}
 	sepKey, right := t.insert(n.children[ci], key, id)
 	if right == nil {
 		return 0, nil
 	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = sepKey
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = right
+	n.keys = slices.Insert(n.keys, ci, sepKey)
+	n.children = slices.Insert(n.children, ci+1, right)
+	// The split child's entries now sit under two children.
+	n.counts = slices.Insert(n.counts, ci+1, n.counts[ci]+n.children[ci].size())
 	if len(n.children) <= t.fanout {
 		return 0, nil
 	}
-	// Split the internal node: middle key moves up.
+	// Split the internal node: middle key moves up, and the right half's
+	// cumulative counts restart from zero.
 	midKey := len(n.keys) / 2
 	up := n.keys[midKey]
 	rightNode := &node{
 		id:       t.newID(),
 		keys:     append([]storage.Value(nil), n.keys[midKey+1:]...),
 		children: append([]*node(nil), n.children[midKey+1:]...),
+		counts:   append([]int(nil), n.counts[midKey+1:]...),
+	}
+	for i := range rightNode.counts {
+		rightNode.counts[i] -= n.counts[midKey+1]
 	}
 	n.keys = n.keys[:midKey:midKey]
 	n.children = n.children[: midKey+1 : midKey+1]
+	n.counts = n.counts[: midKey+2 : midKey+2]
 	return up, rightNode
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
 
@@ -31,52 +32,65 @@ func (t *Tree) RangeRowIDs(lo, hi storage.Value, out []storage.RowID) []storage.
 	return out
 }
 
-// RangeRowIDsLimit is RangeRowIDs with an early-abort budget: it stops
-// after appending limit rowIDs and reports whether the walk completed.
-// Adaptive access paths use it to probe optimistically and abandon the
-// index when the result outgrows the estimate that justified probing.
-func (t *Tree) RangeRowIDsLimit(lo, hi storage.Value, limit int, out []storage.RowID) ([]storage.RowID, bool) {
-	if lo > hi || t.count == 0 {
-		return out, true
-	}
-	taken := 0
-	leaf, i := t.seek(lo)
-	for leaf != nil {
-		for ; i < len(leaf.keys); i++ {
-			if leaf.keys[i] > hi {
-				return out, true
-			}
-			if taken >= limit {
-				return out, false
-			}
-			out = append(out, leaf.rowIDs[i])
-			taken++
-		}
-		leaf = leaf.next
-		i = 0
-	}
-	return out, true
-}
-
 // RangeCount returns the number of entries in [lo, hi] without
-// materializing them (used by statistics and tests).
+// materializing them: rank(hi+1) − rank(lo), read off the internal
+// nodes' subtree counts in at most two root-to-leaf descents and no leaf
+// walk. While no separator falls in [lo, hi] the two descents take the
+// same child and the counts left of it cancel, so they run as one; below
+// the node where they part they run in lockstep, one level per step (the
+// tree is balanced). The optimizer prices every indexed batch from it.
+//
+// Each descent takes the leftmost child on separator equality, as seek
+// does: duplicates of a key may straddle a split, so entries equal to a
+// separator can sit in the child left of it, and every child left of the
+// one taken holds only smaller keys.
 func (t *Tree) RangeCount(lo, hi storage.Value) int {
 	if lo > hi || t.count == 0 {
 		return 0
 	}
-	n := 0
-	leaf, i := t.seek(lo)
-	for leaf != nil {
-		for ; i < len(leaf.keys); i++ {
-			if leaf.keys[i] > hi {
-				return n
-			}
-			n++
-		}
-		leaf = leaf.next
-		i = 0
+	a := t.root
+	i := lowerBound(a.keys, lo)
+	for !a.leaf && (i == len(a.keys) || a.keys[i] > hi) {
+		a = a.children[i]
+		i = lowerBound(a.keys, lo)
 	}
-	return n
+	j := i + upperBound(a.keys[i:], hi)
+	if a.leaf {
+		return j - i
+	}
+	r := a.counts[j] - a.counts[i]
+	a, b := a.children[i], a.children[j]
+	for !a.leaf {
+		i, j = lowerBound(a.keys, lo), upperBound(b.keys, hi)
+		r += b.counts[j] - a.counts[i]
+		a, b = a.children[i], b.children[j]
+	}
+	return r + upperBound(b.keys, hi) - lowerBound(a.keys, lo)
+}
+
+// lowerBound returns the number of keys < lo: the first position whose
+// key is >= lo. Every descent in the package searches a node with it; it
+// is written out rather than calling sort.Search so that it inlines.
+func lowerBound(keys []storage.Value, lo storage.Value) int {
+	i, j := 0, len(keys)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if keys[m] < lo {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+// upperBound returns the number of keys <= hi: the first position whose
+// key is >= hi+1, or all of them when hi+1 would overflow.
+func upperBound(keys []storage.Value, hi storage.Value) int {
+	if hi == math.MaxInt32 {
+		return len(keys)
+	}
+	return lowerBound(keys, hi+1)
 }
 
 // seek descends to the first leaf position whose key is >= lo. The
@@ -86,10 +100,10 @@ func (t *Tree) RangeCount(lo, hi storage.Value) int {
 func (t *Tree) seek(lo storage.Value) (*node, int) {
 	n := t.root
 	for !n.leaf {
-		ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
+		ci := lowerBound(n.keys, lo)
 		n = n.children[ci]
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
+	i := lowerBound(n.keys, lo)
 	if i == len(n.keys) {
 		return n.next, 0
 	}
@@ -136,14 +150,14 @@ func (t *Tree) RangeWithStats(lo, hi storage.Value, out []storage.RowID) ([]stor
 	n := t.root
 	for !n.leaf {
 		st.LevelsVisited++
-		ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
+		ci := lowerBound(n.keys, lo)
 		// A linear intra-node search reads ci+1 separators on average; the
 		// model charges b/2 sequential key reads per level.
 		st.InternalKeysRead += ci + 1
 		n = n.children[ci]
 	}
 	st.LevelsVisited++
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
+	i := lowerBound(n.keys, lo)
 	if i == len(n.keys) {
 		n = n.next
 		i = 0

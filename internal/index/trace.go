@@ -1,10 +1,6 @@
 package index
 
-import (
-	"sort"
-
-	"fastcolumns/internal/storage"
-)
+import "fastcolumns/internal/storage"
 
 // TraceKind labels a trace event.
 type TraceKind int
@@ -43,12 +39,12 @@ func (t *Tree) Trace(lo, hi storage.Value, visit func(TraceEvent)) int {
 	n := t.root
 	level := 0
 	for !n.leaf {
-		ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
+		ci := lowerBound(n.keys, lo)
 		visit(TraceEvent{Kind: TraceInternal, NodeID: n.id, Level: level, KeysRead: ci + 1})
 		n = n.children[ci]
 		level++
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
+	i := lowerBound(n.keys, lo)
 	if i == len(n.keys) {
 		n = n.next
 		i = 0

@@ -9,8 +9,7 @@ import "math"
 // by a wrap-around continuation) or wait for the next batching window
 // and share a fresh full pass with whatever has queued up. Both sides
 // are priced with the paper's own Equation 5 pieces, so the choice
-// inherits the fitted hardware profile — and the robust variant
-// inherits the estimate-error machinery of the RobustPolicy ablation.
+// inherits the fitted hardware profile.
 
 // PassState is the observable state of an in-flight cooperative pass
 // plus the scheduler context the wait side needs (internal/coop's
@@ -111,27 +110,4 @@ func ShouldAttach(p Params, st PassState) (attach bool, attachCost, waitCost flo
 	attachCost = AttachCost(p, st)
 	waitCost = WaitCost(p, st)
 	return attachCost <= waitCost, attachCost, waitCost
-}
-
-// ShouldAttachRobust is the RobustPolicy variant: the attacher's own
-// selectivity estimate and the pass's live-selectivity estimate are
-// both perturbed by 1/errBound, 1, and errBound, and the attach is
-// taken only if it wins under every perturbation — mirroring how robust
-// APS hedges the scan-vs-probe choice. errBound <= 1 degenerates to
-// ShouldAttach.
-func ShouldAttachRobust(p Params, st PassState, errBound float64) (attach bool, attachCost, waitCost float64) {
-	attach, attachCost, waitCost = ShouldAttach(p, st)
-	if errBound <= 1 || !attach {
-		return attach, attachCost, waitCost
-	}
-	for _, f := range []float64{1 / errBound, errBound} {
-		pf := p
-		pf.Workload = p.Workload.WithEstimateError(f)
-		stf := st
-		stf.LiveSel = math.Min(st.LiveSel*f, float64(max(st.Live, 0)))
-		if ok, _, _ := ShouldAttach(pf, stf); !ok {
-			return false, attachCost, waitCost
-		}
-	}
-	return true, attachCost, waitCost
 }

@@ -62,27 +62,3 @@ func TestWaitCostGrowsWithWindowAndPending(t *testing.T) {
 		t.Fatalf("pending queries should add to wait cost: %v <= %v", w, base)
 	}
 }
-
-func TestShouldAttachRobustIsConservative(t *testing.T) {
-	p := coopParams(0.001)
-	// Sweep cursor positions; wherever robust says attach, plain must
-	// agree — robust only ever vetoes.
-	for _, c := range []float64{0, 0.2, 0.4, 0.6, 0.8, 0.95} {
-		st := PassState{FracDone: c, Live: 32, LiveSel: 0.5, Window: 5e-4}
-		plain, _, _ := ShouldAttach(p, st)
-		robust, _, _ := ShouldAttachRobust(p, st, 8)
-		if robust && !plain {
-			t.Fatalf("robust attached where plain refused at c=%v", c)
-		}
-	}
-}
-
-func TestShouldAttachRobustDegenerateBound(t *testing.T) {
-	p := coopParams(0.001)
-	st := PassState{FracDone: 0.1, Live: 4, LiveSel: 0.01, Window: 1e-3}
-	plain, pac, pwc := ShouldAttach(p, st)
-	robust, rac, rwc := ShouldAttachRobust(p, st, 1)
-	if plain != robust || pac != rac || pwc != rwc {
-		t.Fatalf("errBound<=1 must degenerate to ShouldAttach")
-	}
-}

@@ -29,30 +29,6 @@ func Uniform(q int, s float64) Workload {
 // Q returns the number of concurrent queries in the batch.
 func (w Workload) Q() int { return len(w.Selectivities) }
 
-// WithEstimateError returns the workload as a misestimating optimizer
-// would see it: every selectivity scaled by factor and clamped to [0, 1].
-// factor > 1 models overestimation, factor < 1 underestimation (the
-// dangerous direction for index choices: a 4x underestimate is factor
-// 0.25). factor <= 0 or exactly 1 returns the workload unchanged. This is
-// the controlled-error knob of the estimate-robustness ablation
-// ("Analyzing Query Optimizer Performance in the Presence and Absence of
-// Cardinality Estimates"): the optimizer costs the perturbed workload
-// while execution answers the true predicates.
-func (w Workload) WithEstimateError(factor float64) Workload {
-	if factor <= 0 || ApproxEq(factor, 1) {
-		return w
-	}
-	sel := make([]float64, len(w.Selectivities))
-	for i, s := range w.Selectivities {
-		v := s * factor
-		if v > 1 {
-			v = 1
-		}
-		sel[i] = v
-	}
-	return Workload{Selectivities: sel}
-}
-
 // TotalSelectivity returns S_tot, the sum of the individual selectivities.
 // It can exceed 1; three queries of 40% selectivity have S_tot = 1.2.
 func (w Workload) TotalSelectivity() float64 {

@@ -6,6 +6,9 @@ import "math"
 // only estimated input to the APS decision is selectivity (concurrency
 // and hardware are exact), so the decision's robustness is the factor by
 // which the selectivity estimate may be wrong before the choice flips.
+// The engine counts selectivity exactly wherever an index makes the
+// choice a real one; these measures report how far a batch sits from
+// the boundary, and what a histogram-estimated decision could cost.
 
 // ErrorMargin returns the multiplicative selectivity-error factor m >= 1
 // such that scaling every estimated selectivity by m (if the scan was
@@ -74,40 +77,4 @@ func WrongChoicePenalty(p Params) float64 {
 		return idxCost / scanCost
 	}
 	return scanCost / idxCost
-}
-
-// MinimaxRegret picks between scan and index when the selectivity
-// estimates themselves are suspect: the true selectivities may be off by
-// up to a multiplicative factor errFactor in either direction. Instead of
-// trusting the point estimate (which ErrorMargin just said is too close
-// to the flip to trust), each path is judged by its worst-case regret —
-// the extra seconds paid over the best path — across the scenarios where
-// the estimate is right, uniformly errFactor too low, or errFactor too
-// high. The scan's regret is bounded (its cost barely depends on
-// selectivity), while the index's regret explodes when the estimate was
-// low, which is exactly the asymmetry the robust decision should weigh.
-// Returns the regret-minimizing path and its worst-case regret in
-// seconds. errFactor <= 1 degenerates to the plain point decision.
-func MinimaxRegret(p Params, errFactor float64) (Path, float64) {
-	if errFactor <= 1 {
-		return Choose(p), 0
-	}
-	worstScan, worstIndex := 0.0, 0.0
-	for _, m := range [3]float64{1 / errFactor, 1, errFactor} {
-		sc := p
-		sc.Workload = p.Workload.WithEstimateError(m)
-		scanCost := SharedScan(sc)
-		idxCost := ConcIndex(sc)
-		best := math.Min(scanCost, idxCost)
-		if r := scanCost - best; r > worstScan {
-			worstScan = r
-		}
-		if r := idxCost - best; r > worstIndex {
-			worstIndex = r
-		}
-	}
-	if worstIndex < worstScan {
-		return PathIndex, worstIndex
-	}
-	return PathScan, worstScan
 }

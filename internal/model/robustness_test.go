@@ -127,65 +127,3 @@ func TestWrongChoicePenaltyNearBreakEven(t *testing.T) {
 		t.Fatalf("break-even penalty = %v, want ~1", got)
 	}
 }
-
-func TestWithEstimateError(t *testing.T) {
-	w := Workload{Selectivities: []float64{0.1, 0.4, 0}}
-	over := w.WithEstimateError(4)
-	want := []float64{0.4, 1, 0} // 0.4*4 clamps to 1, zero stays zero
-	for i, s := range over.Selectivities {
-		if !ApproxEq(s, want[i]) {
-			t.Fatalf("overestimate sel[%d] = %v, want %v", i, s, want[i])
-		}
-	}
-	under := w.WithEstimateError(0.25)
-	if !ApproxEq(under.Selectivities[0], 0.025) {
-		t.Fatalf("underestimate sel[0] = %v, want 0.025", under.Selectivities[0])
-	}
-	// The identity and disabled knobs return the workload unchanged.
-	if got := w.WithEstimateError(1); &got.Selectivities[0] != &w.Selectivities[0] {
-		t.Fatal("factor 1 should not copy the workload")
-	}
-	if got := w.WithEstimateError(0); &got.Selectivities[0] != &w.Selectivities[0] {
-		t.Fatal("factor 0 should disable the knob")
-	}
-}
-
-func TestMinimaxRegretPrefersScanUnderUncertainty(t *testing.T) {
-	// The point estimate sits just on the index side of the 4-query
-	// break-even, but a 4x underestimate would make the index
-	// catastrophic while the scan's cost barely moves. The minimax rule
-	// must hedge to the scan even though the point decision says index.
-	d := Dataset{N: 1e8, TupleSize: 4}
-	s, ok := Crossover(4, d, HW1(), DefaultDesign())
-	if !ok {
-		t.Fatal("no crossover")
-	}
-	p := Params{Workload: Uniform(4, s*0.8), Dataset: d, Hardware: HW1(), Design: DefaultDesign()}
-	if Choose(p) != PathIndex {
-		t.Fatal("fixture is supposed to sit on the index side of the boundary")
-	}
-	path, regret := MinimaxRegret(p, 4)
-	if path != PathScan {
-		t.Fatalf("minimax chose %v, want scan hedge", path)
-	}
-	if regret < 0 {
-		t.Fatalf("negative worst-case regret %v", regret)
-	}
-}
-
-func TestMinimaxRegretKeepsConfidentChoices(t *testing.T) {
-	// Deep in either territory the plain decision survives the hedge.
-	deep := testParams(1, 1e-7) // point get: index by a mile
-	if path, _ := MinimaxRegret(deep, 4); path != PathIndex {
-		t.Fatalf("deep-index minimax chose %v", path)
-	}
-	wide := testParams(64, 0.2) // wide batch: scan by a mile
-	if path, _ := MinimaxRegret(wide, 4); path != PathScan {
-		t.Fatalf("deep-scan minimax chose %v", path)
-	}
-	// errFactor <= 1 degenerates to the point decision with zero regret.
-	path, regret := MinimaxRegret(deep, 1)
-	if path != Choose(deep) || !EqZero(regret) {
-		t.Fatalf("degenerate minimax = (%v, %v)", path, regret)
-	}
-}

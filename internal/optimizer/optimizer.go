@@ -1,6 +1,7 @@
 // Package optimizer implements the cost-based access path selection
 // module of Section 3 (Figure 11): given the batch the scheduler
-// assembled, per-query selectivity estimates from the statistics, the
+// assembled, per-query selectivities (counted exactly by the secondary
+// index when one exists, estimated from the histogram otherwise), the
 // data's physical shape from the storage engine, and the hardware profile
 // captured at initialization, it evaluates the APS ratio and picks the
 // access path. It also implements the traditional fixed-selectivity-
@@ -27,40 +28,10 @@ import (
 type Snapshot struct {
 	HW     model.Hardware
 	Design model.Design
-	// Robust is the estimate-error policy applied by Decide/Choose.
-	Robust RobustPolicy
 	// Version counts swaps: 1 at construction, +1 per SwapDesign or
-	// SetRobust. Observability surfaces it so a hot-swap is visible.
+	// SwapModel. Observability surfaces it so a hot-swap is visible.
 	Version uint64
 }
-
-// RobustPolicy configures the estimate-error-robust decision mode: when a
-// batch's flip margin (model.ErrorMargin) is thinner than MarginThreshold,
-// the point estimate is not trusted and the batch is either routed to the
-// adaptive Smooth-Scan path or decided by minimax regret over an assumed
-// error bound. The zero value disables robust mode entirely.
-type RobustPolicy struct {
-	// MarginThreshold is the ErrorMargin below which the point decision is
-	// distrusted. Margins are >= 1, so a threshold <= 1 never triggers and
-	// disables robust mode.
-	MarginThreshold float64
-	// ErrorBound is the multiplicative selectivity-error factor assumed by
-	// the minimax-regret hedge (e.g. 4 means "estimates may be 4x off in
-	// either direction"). Values <= 1 fall back to the point decision.
-	ErrorBound float64
-	// RouteAdaptive routes thin-margin batches to the adaptive path
-	// (Decision.RouteAdaptive) instead of picking the minimax choice.
-	RouteAdaptive bool
-	// EstimateError injects controlled selectivity misestimation: the
-	// model costs every batch as if each selectivity were scaled by this
-	// factor (clamped to [0,1]) while execution answers the true
-	// predicates. 0 or 1 disables the knob. This is the ablation control
-	// for the estimate-robustness experiments, not a production setting.
-	EstimateError float64
-}
-
-// Enabled reports whether the policy can ever change a decision.
-func (p RobustPolicy) Enabled() bool { return p.MarginThreshold > 1 }
 
 // Optimizer is the APS module: hardware and design are captured in an
 // atomically swappable snapshot at initialization; everything else
@@ -87,9 +58,6 @@ func (o *Optimizer) HW() model.Hardware { return o.snap.Load().HW }
 // Design returns the current design constants.
 func (o *Optimizer) Design() model.Design { return o.snap.Load().Design }
 
-// Robust returns the current robust-decision policy.
-func (o *Optimizer) Robust() RobustPolicy { return o.snap.Load().Robust }
-
 // Version returns the snapshot version (1 at construction, +1 per swap).
 func (o *Optimizer) Version() uint64 { return o.snap.Load().Version }
 
@@ -101,10 +69,10 @@ func (o *Optimizer) install(s *Snapshot) {
 }
 
 // SwapDesign atomically replaces the design constants, preserving the
-// hardware profile and robust policy, and returns the design it
-// displaced. In-flight decisions that already loaded the old snapshot
-// finish on it; the next decision sees the new constants. This is the
-// refit controller's publication point.
+// hardware profile, and returns the design it displaced. In-flight
+// decisions that already loaded the old snapshot finish on it; the next
+// decision sees the new constants. This is the refit controller's
+// publication point.
 func (o *Optimizer) SwapDesign(dg model.Design) model.Design {
 	for {
 		cur := o.snap.Load()
@@ -118,30 +86,16 @@ func (o *Optimizer) SwapDesign(dg model.Design) model.Design {
 }
 
 // SwapModel atomically replaces hardware profile and design constants
-// together, preserving the robust policy. A refit adjusts both (the fit's
-// pipelining factor lives in the hardware profile, the rest in the
-// design), and publishing them as one snapshot is what keeps concurrent
-// readers from costing with a new design against an old fp.
+// together. A refit adjusts both (the fit's pipelining factor lives in
+// the hardware profile, the rest in the design), and publishing them as
+// one snapshot is what keeps concurrent readers from costing with a new
+// design against an old fp.
 func (o *Optimizer) SwapModel(hw model.Hardware, dg model.Design) {
 	for {
 		cur := o.snap.Load()
 		next := *cur
 		next.HW = hw
 		next.Design = dg
-		next.Version = cur.Version + 1
-		if o.snap.CompareAndSwap(cur, &next) {
-			return
-		}
-	}
-}
-
-// SetRobust atomically replaces the robust-decision policy, preserving
-// hardware and design.
-func (o *Optimizer) SetRobust(p RobustPolicy) {
-	for {
-		cur := o.snap.Load()
-		next := *cur
-		next.Robust = p
 		next.Version = cur.Version + 1
 		if o.snap.CompareAndSwap(cur, &next) {
 			return
@@ -215,7 +169,9 @@ type Decision struct {
 	Path model.Path
 	// Ratio is the APS value (ConcIndex/SharedScan); >= 1 selects the scan.
 	Ratio float64
-	// Selectivities holds the per-query estimates used.
+	// Selectivities holds the per-query selectivities used: exact index
+	// counts when the relation has a secondary index, histogram estimates
+	// otherwise (see Selectivity).
 	Selectivities []float64
 	// Forced is true when only one path existed (e.g. no secondary index).
 	Forced bool
@@ -236,18 +192,6 @@ type Decision struct {
 	// Elapsed is the optimization time itself — the paper stresses this
 	// stays in the microsecond range even for sub-second queries.
 	Elapsed time.Duration
-
-	// Margin is the flip margin (model.ErrorMargin) computed when robust
-	// mode is enabled: the selectivity-error factor that would change the
-	// decision. 0 when robust mode is off or the batch was forced.
-	Margin float64
-	// Hedged is true when the minimax-regret rule overrode the point
-	// decision because Margin fell below the policy threshold.
-	Hedged bool
-	// RouteAdaptive is true when the policy asks the executor to answer
-	// this thin-margin batch on the adaptive Smooth-Scan path instead of
-	// committing to either static path.
-	RouteAdaptive bool
 }
 
 // DriftPath returns the drift-accounting key for the decision: the
@@ -261,8 +205,8 @@ func (d Decision) DriftPath() string {
 	return d.Path.String()
 }
 
-// MeanSelectivity returns the batch's mean per-query selectivity
-// estimate (0 for an empty batch) — the drift accounting's band key.
+// MeanSelectivity returns the batch's mean per-query selectivity (0 for
+// an empty batch) — the drift accounting's band key.
 func (d Decision) MeanSelectivity() float64 {
 	if len(d.Selectivities) == 0 {
 		return 0
@@ -283,43 +227,13 @@ func ratioOf(indexCost, scanCost float64) float64 {
 	return indexCost / scanCost
 }
 
-// applyRobust implements the thin-margin policy on a provisional
-// decision: compute how far the batch sits from the flip boundary, and
-// when it is closer than the policy tolerates, either hand the batch to
-// the adaptive path or replace the point choice with the minimax-regret
-// hedge. Batches with only one real path (forced, bitmap-answered, or no
-// index cost) are left alone — there is nothing to hedge between.
-func applyRobust(rb RobustPolicy, p model.Params, d *Decision) {
-	if !rb.Enabled() || d.Forced || d.Path == model.PathBitmap || model.EqZero(d.IndexCost) {
-		return
-	}
-	d.Margin = model.ErrorMargin(p)
-	if math.IsInf(d.Margin, 1) || d.Margin >= rb.MarginThreshold {
-		return
-	}
-	if rb.RouteAdaptive {
-		d.RouteAdaptive = true
-		return
-	}
-	path, _ := model.MinimaxRegret(p, rb.ErrorBound)
-	if path == d.Path {
-		return
-	}
-	d.Hedged = true
-	d.Path = path
-	d.ChosenCost = d.ScanCost
-	if path == model.PathIndex {
-		d.ChosenCost = d.IndexCost
-	}
-}
-
 // Choose runs access path selection from raw model inputs: the relation
-// size, tuple width in bytes, and per-query selectivity estimates.
+// size, tuple width in bytes, and per-query selectivities.
 func (o *Optimizer) Choose(n int, tupleSize float64, sel []float64) Decision {
 	start := time.Now()
 	s := o.snap.Load()
 	p := model.Params{
-		Workload: model.Workload{Selectivities: sel}.WithEstimateError(s.Robust.EstimateError),
+		Workload: model.Workload{Selectivities: sel},
 		Dataset:  model.Dataset{N: float64(n), TupleSize: tupleSize},
 		Hardware: s.HW,
 		Design:   s.Design,
@@ -335,7 +249,6 @@ func (o *Optimizer) Choose(n int, tupleSize float64, sel []float64) Decision {
 		Path: path, Ratio: ratio, Selectivities: p.Workload.Selectivities, ScanKernel: KernelShared,
 		ScanCost: scanCost, IndexCost: indexCost, ChosenCost: chosen,
 	}
-	applyRobust(s.Robust, p, &d)
 	d.Elapsed = time.Since(start)
 	o.observe(d)
 	return d
@@ -355,27 +268,42 @@ func scanSide(rel *exec.Relation, p model.Params, skip float64) (cost float64, k
 	return model.SharedScanWithSkipping(p, skip), KernelShared
 }
 
+// Selectivity is the engine's one source of selectivities: the exact
+// fraction of the relation the predicate selects, counted by the
+// secondary index in two descents when the relation has one, the
+// histogram's estimate when it has none, and 0 without either. Section 3
+// names selectivity the only estimated input to APS; wherever an index
+// makes the choice a real one, it is not estimated at all.
+func Selectivity(rel *exec.Relation, h *stats.Histogram, p scan.Predicate) float64 {
+	switch {
+	case rel.Index != nil:
+		if n := rel.Column.Len(); n > 0 {
+			return float64(rel.Index.RangeCount(p.Lo, p.Hi)) / float64(n)
+		}
+	case h != nil:
+		return h.EstimateRange(p.Lo, p.Hi)
+	}
+	return 0
+}
+
 // Decide performs the full run-time decision for a batch over a relation:
-// selectivities are estimated per query from the histogram, N and ts come
-// from the column, a zonemap (if present) credits the scan with the
-// zones the whole batch can skip (Appendix E), and relations without a
-// secondary index force a scan.
+// selectivities come from Selectivity (exact where an index exists), N
+// and ts from the column, a zonemap (if present) credits the scan with
+// the zones the whole batch can skip (Appendix E), and relations without
+// a secondary index force a scan.
 func (o *Optimizer) Decide(rel *exec.Relation, h *stats.Histogram, preds []scan.Predicate) Decision {
 	start := time.Now()
 	snap := o.snap.Load()
 	sel := make([]float64, len(preds))
-	if h != nil {
-		for i, p := range preds {
-			sel[i] = h.EstimateRange(p.Lo, p.Hi)
-		}
+	for i, p := range preds {
+		sel[i] = Selectivity(rel, h, p)
 	}
 	p := model.Params{
-		Workload: model.Workload{Selectivities: sel}.WithEstimateError(snap.Robust.EstimateError),
+		Workload: model.Workload{Selectivities: sel},
 		Dataset:  model.Dataset{N: float64(rel.Column.Len()), TupleSize: float64(rel.Column.TupleSize())},
 		Hardware: snap.HW,
 		Design:   snap.Design,
 	}
-	sel = p.Workload.Selectivities
 	if rel.Index == nil && rel.Bitmap == nil {
 		// Only the scan exists; still predict its cost so the drift
 		// accounting covers forced batches too.
@@ -427,7 +355,6 @@ func (o *Optimizer) Decide(rel *exec.Relation, h *stats.Histogram, preds []scan.
 		IndexCost:     indexCost,
 		ChosenCost:    chosen,
 	}
-	applyRobust(snap.Robust, p, &d)
 	d.Elapsed = time.Since(start)
 	o.observe(d)
 	return d

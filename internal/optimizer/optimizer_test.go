@@ -11,9 +11,12 @@ import (
 	"fastcolumns/internal/scan"
 	"fastcolumns/internal/stats"
 	"fastcolumns/internal/storage"
+	"fastcolumns/internal/workload"
 )
 
-func testRelation(t *testing.T, n int, domain int32, withIndex bool) (*exec.Relation, *stats.Histogram) {
+// testRelation builds an unindexed relation over uniform data and its
+// histogram.
+func testRelation(t *testing.T, n int, domain int32) (*exec.Relation, *stats.Histogram) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	data := make([]storage.Value, n)
@@ -22,9 +25,6 @@ func testRelation(t *testing.T, n int, domain int32, withIndex bool) (*exec.Rela
 	}
 	col := storage.NewColumn("v", data)
 	rel := &exec.Relation{Column: col}
-	if withIndex {
-		rel.Index = index.Build(col, index.DefaultFanout)
-	}
 	h, err := stats.BuildHistogram(col, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -70,24 +70,68 @@ func TestConcurrencyFlipsDecision(t *testing.T) {
 	}
 }
 
-func TestDecideUsesHistogramEstimates(t *testing.T) {
-	rel, h := testRelation(t, 200000, 1<<20, true)
+// TestDecideCountsSelectivityExactly pins where Decide's selectivities
+// come from. On a Zipf column the equi-depth histogram misestimates a
+// tail range by far more than 4x — enough to flip a batch of eight to
+// the wrong path. With an index, Decide must price that batch from the
+// index's exact counts and pick what the model picks on the truth;
+// without one, the histogram is all there is and Decide must use it.
+func TestDecideCountsSelectivityExactly(t *testing.T) {
+	const n = 200_000
+	col := storage.NewColumn("v", workload.Zipf(1, n, 1<<20, 1.5))
+	h, err := stats.BuildHistogram(col, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := &exec.Relation{Column: col, Index: index.Build(col, index.DefaultFanout)}
 	o := New(model.HW1())
-	// A ~30% range: the scan must win at this size.
-	d := o.Decide(rel, h, []scan.Predicate{{Lo: 0, Hi: 300000}})
-	if d.Path != model.PathScan {
-		t.Fatalf("30%% query chose %v (ratio %v, est %v)", d.Path, d.Ratio, d.Selectivities)
+
+	pred := scan.Predicate{Lo: 2711, Hi: 5422}
+	preds := make([]scan.Predicate, 8)
+	for i := range preds {
+		preds[i] = pred
 	}
-	if d.Selectivities[0] < 0.2 || d.Selectivities[0] > 0.4 {
-		t.Fatalf("selectivity estimate %v implausible for a 30%% range", d.Selectivities[0])
+	exact := float64(indexed.Index.RangeCount(pred.Lo, pred.Hi)) / n
+	est := h.EstimateRange(pred.Lo, pred.Hi)
+	if exact == 0 || (est/exact < 4 && exact/est < 4) {
+		t.Fatalf("fixture: histogram estimate %v is within 4x of the true %v", est, exact)
 	}
-	if d.Forced {
-		t.Fatal("decision should not be forced with an index present")
+	params := func(s float64) model.Params {
+		return model.Params{
+			Workload: model.Uniform(len(preds), s),
+			Dataset:  model.Dataset{N: n, TupleSize: 4},
+			Hardware: o.HW(),
+			Design:   o.Design(),
+		}
+	}
+	truth := model.Choose(params(exact))
+	if model.Choose(params(est)) == truth {
+		t.Fatalf("fixture: the histogram's estimate picks %v, the same as the truth", truth)
+	}
+
+	d := o.Decide(indexed, h, preds)
+	for i, s := range d.Selectivities {
+		if s != exact {
+			t.Fatalf("selectivity %d = %v, want the index count %v (histogram says %v)", i, s, exact, est)
+		}
+	}
+	if d.Path != truth || d.Forced {
+		t.Fatalf("Decide chose %v (forced %v), model on true selectivities chooses %v", d.Path, d.Forced, truth)
+	}
+
+	// No index: the histogram is the only source, and the scan is forced.
+	d = o.Decide(&exec.Relation{Column: col}, h, preds)
+	if d.Selectivities[0] != est || !d.Forced {
+		t.Fatalf("unindexed Decide used selectivity %v (forced %v), want the histogram's %v", d.Selectivities[0], d.Forced, est)
+	}
+	// Neither an index nor a histogram: selectivity 0.
+	if s := Selectivity(&exec.Relation{Column: col}, nil, pred); s != 0 {
+		t.Fatalf("Selectivity with no index or histogram = %v, want 0", s)
 	}
 }
 
 func TestDecideForcedWithoutIndex(t *testing.T) {
-	rel, h := testRelation(t, 10000, 1000, false)
+	rel, h := testRelation(t, 10000, 1000)
 	o := New(model.HW1())
 	d := o.Decide(rel, h, []scan.Predicate{{Lo: 0, Hi: 0}})
 	if d.Path != model.PathScan || !d.Forced {

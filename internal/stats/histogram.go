@@ -1,7 +1,9 @@
 // Package stats provides the statistics the APS optimizer consumes at run
 // time (Section 3, "Continuous Data Collection"): equi-depth histograms
-// for selectivity estimation and per-attribute counters of outstanding
-// queries.
+// that estimate selectivity on attributes without a secondary index (an
+// index counts its own selectivities exactly) and for the query planner.
+// The other Section 3 statistic, outstanding queries per attribute, is
+// the scheduler's pending count.
 package stats
 
 import (
@@ -45,21 +47,6 @@ func BuildHistogram(c *storage.Column, buckets int) (*Histogram, error) {
 		sorted[i] = c.Get(i)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return buildFromSorted(sorted, buckets)
-}
-
-// buildFromSorted packs equi-depth buckets over pre-sorted values.
-func buildFromSorted(sorted []storage.Value, buckets int) (*Histogram, error) {
-	n := len(sorted)
-	if n == 0 {
-		return nil, errors.New("stats: cannot build histogram over empty input")
-	}
-	if buckets < 1 {
-		buckets = 1
-	}
-	if buckets > n {
-		buckets = n
-	}
 	h := &Histogram{n: n, min: sorted[0]}
 	for b := 1; b <= buckets; b++ {
 		idx := n*b/buckets - 1

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"fastcolumns/internal/storage"
@@ -126,51 +125,6 @@ func TestHistogramBucketCountClamped(t *testing.T) {
 	}
 }
 
-func TestQueryCounter(t *testing.T) {
-	c := NewQueryCounter()
-	if c.Outstanding("a") != 0 {
-		t.Fatal("fresh counter not zero")
-	}
-	if got := c.Begin("a", 3); got != 3 {
-		t.Fatalf("Begin = %d", got)
-	}
-	if got := c.Begin("a", 2); got != 5 {
-		t.Fatalf("Begin = %d", got)
-	}
-	c.End("a", 4)
-	if got := c.Outstanding("a"); got != 1 {
-		t.Fatalf("Outstanding = %d", got)
-	}
-	c.End("a", 1)
-	if got := c.Outstanding("a"); got != 0 {
-		t.Fatalf("Outstanding after drain = %d", got)
-	}
-	// Independent attributes.
-	c.Begin("b", 7)
-	if c.Outstanding("a") != 0 || c.Outstanding("b") != 7 {
-		t.Fatal("attributes not independent")
-	}
-}
-
-func TestQueryCounterConcurrent(t *testing.T) {
-	c := NewQueryCounter()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Begin("x", 1)
-				c.End("x", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Outstanding("x"); got != 0 {
-		t.Fatalf("Outstanding after balanced ops = %d", got)
-	}
-}
-
 func TestEstimateRangeOpenBelow(t *testing.T) {
 	// Regression: lo == MinInt32 (an open-below predicate like "v < x")
 	// must not wrap lo-1 around to MaxInt32 and estimate zero.
@@ -187,100 +141,5 @@ func TestEstimateRangeOpenBelow(t *testing.T) {
 	// Full int32 range estimates ~100%.
 	if got := h.EstimateRange(math.MinInt32, math.MaxInt32); got < 0.99 {
 		t.Fatalf("full-range estimate = %v", got)
-	}
-}
-
-func TestEquiWidthUniformAccuracy(t *testing.T) {
-	c := uniformColumn(6, 100000, 1<<20)
-	h, err := BuildEquiWidth(c, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]storage.Value{
-		{0, 1 << 19}, {1000, 1000 + 1<<15}, {0, 1<<20 - 1},
-	} {
-		got := h.EstimateRange(r[0], r[1])
-		want := trueSelectivity(c, r[0], r[1])
-		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("range %v: estimate %.4f, true %.4f", r, got, want)
-		}
-	}
-	if h.Buckets() != 128 || h.N() != 100000 {
-		t.Fatalf("shape: %d buckets, %d tuples", h.Buckets(), h.N())
-	}
-}
-
-func TestEquiDepthBeatsEquiWidthOnSkew(t *testing.T) {
-	// The reason the optimizer uses equi-depth: on Zipf data the heavy
-	// head lands in one equi-width bucket and poisons narrow estimates.
-	rng := rand.New(rand.NewSource(7))
-	z := rand.NewZipf(rng, 1.2, 8, 1<<20)
-	data := make([]storage.Value, 100000)
-	for i := range data {
-		data[i] = storage.Value(z.Uint64())
-	}
-	c := storage.NewColumn("v", data)
-	depth, err := BuildHistogram(c, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width, err := BuildEquiWidth(c, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var depthErr, widthErr float64
-	for _, r := range [][2]storage.Value{{0, 3}, {0, 20}, {5, 100}, {50, 5000}} {
-		want := trueSelectivity(c, r[0], r[1])
-		depthErr += math.Abs(depth.EstimateRange(r[0], r[1]) - want)
-		widthErr += math.Abs(width.EstimateRange(r[0], r[1]) - want)
-	}
-	if depthErr >= widthErr {
-		t.Fatalf("equi-depth error %.4f not below equi-width %.4f on skew", depthErr, widthErr)
-	}
-}
-
-func TestEquiWidthEdges(t *testing.T) {
-	c := storage.NewColumn("v", []storage.Value{5, 5, 5})
-	h, err := BuildEquiWidth(c, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.EstimateRange(5, 5); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("constant column estimate = %v", got)
-	}
-	if got := h.EstimateRange(6, 9); got != 0 {
-		t.Fatalf("above-domain estimate = %v", got)
-	}
-	if got := h.EstimateRange(9, 6); got != 0 {
-		t.Fatalf("inverted estimate = %v", got)
-	}
-	if _, err := BuildEquiWidth(storage.NewColumn("v", nil), 4); err == nil {
-		t.Fatal("empty column accepted")
-	}
-}
-
-func TestSampledHistogramCloseToFull(t *testing.T) {
-	c := uniformColumn(8, 200000, 1<<20)
-	full, err := BuildHistogram(c, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := BuildHistogramSampled(c, 64, 10000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]storage.Value{{0, 1 << 18}, {1 << 19, 1<<19 + 1<<16}} {
-		a := full.EstimateRange(r[0], r[1])
-		b := sampled.EstimateRange(r[0], r[1])
-		if math.Abs(a-b) > 0.03 {
-			t.Fatalf("range %v: full %.4f vs sampled %.4f", r, a, b)
-		}
-	}
-	// Degenerate sample sizes clamp.
-	if _, err := BuildHistogramSampled(c, 64, -5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildHistogramSampled(storage.NewColumn("v", nil), 4, 10, 1); err == nil {
-		t.Fatal("empty column accepted")
 	}
 }

@@ -110,18 +110,12 @@ func TestRefitSoakHotSwapUnderLoad(t *testing.T) {
 					}
 				}
 				batches.Add(1)
-				// Interleave the other snapshot readers the refit races
-				// against: the robustness explainer and the adaptive path
-				// both take one consistent snapshot per call.
+				// Interleave the other snapshot reader the refit races
+				// against: the robustness explainer takes one consistent
+				// snapshot per call.
 				if i%7 == 0 {
 					if _, _, err := tbl.ExplainRobustness("col", wl.preds); err != nil {
 						t.Errorf("worker %d: ExplainRobustness: %v", w, err)
-						return
-					}
-				}
-				if i%11 == 0 {
-					if _, err := tbl.SelectAdaptive("col", 3, 3); err != nil {
-						t.Errorf("worker %d: SelectAdaptive: %v", w, err)
 						return
 					}
 				}
@@ -164,83 +158,4 @@ func TestRefitSoakHotSwapUnderLoad(t *testing.T) {
 	}
 	t.Logf("soak: %d batches, %d attempts, %d swaps, %d rejected, fp %g -> %g",
 		batches.Load(), st.Attempts, st.Swaps, st.Rejected, hw.Pipelining, eng.Hardware().Pipelining)
-}
-
-// TestRobustModeRoutesThinMarginsToAdaptive proves the engine-level
-// robust policy end to end: with a threshold above every finite margin,
-// any batch with both paths available distrusts its estimates and is
-// answered on the adaptive path — correctly — and accounted as such.
-func TestRobustModeRoutesThinMarginsToAdaptive(t *testing.T) {
-	eng := New(Config{Robust: RobustPolicy{MarginThreshold: 1e12, RouteAdaptive: true}})
-	defer eng.Close()
-	const n = 40_000
-	const perValue = n / 1000
-	tbl := soakTable(t, eng, n)
-
-	res, err := tbl.SelectBatch("col", []Predicate{{Lo: 10, Hi: 19}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decision.RouteAdaptive {
-		t.Fatalf("expected thin-margin batch to route adaptive, decision %+v", res.Decision)
-	}
-	if res.Decision.Margin <= 1 {
-		t.Fatalf("routed decision should carry the computed margin, got %g", res.Decision.Margin)
-	}
-	if got := len(res.RowIDs[0]); got != 10*perValue {
-		t.Fatalf("adaptive-routed batch returned %d rows, want %d", got, 10*perValue)
-	}
-	if c := eng.Observer().Metrics.Counter("engine.adaptive_batches").Load(); c < 1 {
-		t.Fatalf("adaptive batch counter not incremented, got %d", c)
-	}
-	// The trace must name the path the batch actually ran, and the drift
-	// cells must not be polluted with a prediction for a path not taken.
-	snap := eng.Observe()
-	last := snap.Decisions[len(snap.Decisions)-1]
-	if last.Path != "adaptive" {
-		t.Fatalf("trace recorded path %q for adaptive-routed batch, want %q", last.Path, "adaptive")
-	}
-	if len(snap.Drift.Cells) != 0 {
-		t.Fatalf("adaptive-routed batch leaked into drift cells: %+v", snap.Drift.Cells)
-	}
-}
-
-// TestEstimateErrorKnobScalesDecisionInputs proves the ablation control:
-// with EstimateError set, the optimizer costs every batch as if its
-// selectivity estimates were scaled by that factor, while execution
-// still answers the true predicates.
-func TestEstimateErrorKnobScalesDecisionInputs(t *testing.T) {
-	const n = 40_000
-	const perValue = n / 1000
-
-	truth := New(Config{})
-	defer truth.Close()
-	skewed := New(Config{Robust: RobustPolicy{EstimateError: 4}})
-	defer skewed.Close()
-
-	base := soakTable(t, truth, n)
-	tbl := soakTable(t, skewed, n)
-
-	preds := []Predicate{{Lo: 0, Hi: 49}} // true selectivity 5%
-	db, err := base.Explain("col", preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := tbl.Explain("col", preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := ds.Selectivities[0] / db.Selectivities[0]
-	if ratio < 3.9 || ratio > 4.1 {
-		t.Fatalf("EstimateError=4 scaled selectivity by %g (%g -> %g), want ~4",
-			ratio, db.Selectivities[0], ds.Selectivities[0])
-	}
-	// Execution is unaffected: counts follow the true predicates.
-	res, err := tbl.SelectBatch("col", preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(res.RowIDs[0]); got != 50*perValue {
-		t.Fatalf("batch under injected misestimation returned %d rows, want %d", got, 50*perValue)
-	}
 }
