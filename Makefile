@@ -8,7 +8,7 @@ BENCH_N ?= 2000000
 BENCH_STAMP ?= $(shell date -u +%Y%m%d)
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: check build fmt vet lint lintjson test race refitsoak loadsmoke coopsmoke benchsmoke fuzz-seeds diffalloc bench benchgate
+.PHONY: check build fmt vet lint lintjson test race loadsmoke coopsmoke benchsmoke fuzz-seeds diffalloc bench benchgate
 
 # check is the tier-1 gate CI runs: static checks (formatting, go vet,
 # the repo's own fclint invariant suite), build, plain and race-enabled
@@ -30,11 +30,11 @@ vet:
 	$(GO) vet ./...
 
 # lint runs cmd/fclint, the stdlib-only static-analysis suite that
-# enforces the repo's concurrency and cost-model contracts: the ten
+# enforces the repo's concurrency and cost-model contracts: the nine
 # analyzers nopanic, ctxflow, atomicfield, floatcmp, errdrop, gospawn,
-# atomicswap, poolsafe, lockhold, and arenaescape. fclint analyzes the
-# whole module — internal/lint included, so the analyzers dogfood their
-# own implementation (the CFG builder and solver are checked by the very
+# poolsafe, lockhold, and arenaescape. fclint analyzes the whole module —
+# internal/lint included, so the analyzers dogfood their own
+# implementation (the CFG builder and solver are checked by the very
 # dataflow they power). Zero findings required.
 lint:
 	$(GO) run ./cmd/fclint ./...
@@ -49,14 +49,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# refitsoak runs the drift-loop acceptance tests under the race
-# detector: the refit controller's unit and chaos suite, plus the
-# end-to-end soak that hot-swaps a validated re-fit while concurrent
-# queries run. They are part of `race` too; this target names them so
-# CI reports the drift loop as its own gate.
-refitsoak:
-	$(GO) test -race -run 'Refit' . ./internal/refit
 
 # loadsmoke runs the load-harness acceptance suite under the race
 # detector: the deterministic loadgen unit tests plus the integration

@@ -38,7 +38,6 @@ func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deli
 	if !ok {
 		return false
 	}
-	snap := s.engine.opt.Snapshot()
 	st := model.PassState{
 		FracDone: float64(prog.Claimed) / float64(prog.Blocks),
 		Live:     prog.Live,
@@ -49,8 +48,8 @@ func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deli
 	p := model.Params{
 		Workload: model.Workload{Selectivities: []float64{sel}},
 		Dataset:  model.Dataset{N: float64(prog.Rows), TupleSize: tupleSize},
-		Hardware: snap.HW,
-		Design:   snap.Design,
+		Hardware: s.engine.opt.HW(),
+		Design:   s.engine.opt.Design(),
 	}
 	attach, attachCost, waitCost := model.ShouldAttach(p, st)
 	if !attach {

@@ -275,9 +275,9 @@ func driftBatches(eng *Engine) int64 {
 }
 
 // TestCoopDriftSeesCleanPasses: with Cooperative on, a pass nobody
-// attached to is a clean measurement and reaches the drift cells (and so
-// the refit controller); a pass that adopted a query is traced under its
-// coop(...) name and kept out of them.
+// attached to is a clean measurement and reaches the drift cells; a pass
+// that adopted a query is traced under its coop(...) name and kept out of
+// them.
 func TestCoopDriftSeesCleanPasses(t *testing.T) {
 	eng, _ := coopEngine(t, 1<<18)
 	_, _, st := slowedAttach(t, eng, Predicate{Lo: 0, Hi: 999}, Predicate{Lo: 2000, Hi: 2499})

@@ -32,14 +32,7 @@ const (
 
 func main() {
 	log.SetFlags(0)
-	// EnableRefit arms the background drift-loop controller: if the
-	// observed/predicted cost ratios ever drift stale per band, it
-	// re-fits the model constants from the decision trace and hot-swaps
-	// them without pausing this serve path.
-	eng := fastcolumns.New(fastcolumns.Config{
-		EnableRefit:   true,
-		RefitInterval: 250 * time.Millisecond,
-	})
+	eng := fastcolumns.New(fastcolumns.Config{})
 	defer eng.Close()
 	tbl, err := eng.CreateTable("metrics")
 	if err != nil {
@@ -213,25 +206,13 @@ func main() {
 			time.Duration(h.P99).Round(time.Microsecond), h.Count)
 	}
 	fmt.Printf("  decision traces    %d retained\n", len(snap.Decisions))
-	fmt.Printf("  drift: %d cells, global calibration %.2fx, max drift %.3f (threshold %.3f) stale=%v\n",
-		len(snap.Drift.Cells), snap.Drift.GlobalRatio, snap.Drift.MaxDrift,
-		snap.Drift.Threshold, snap.Drift.Stale)
+	fmt.Printf("  drift: %d cells, global calibration %.2fx, max drift %.3f (threshold %.3f)\n",
+		len(snap.Drift.Cells), snap.Drift.GlobalRatio, snap.Drift.MaxDrift, snap.Drift.Threshold)
 
-	// The drift-loop controller's state, both in-process and over the
-	// wire. In a healthy run drift stays fresh, so the counters show the
-	// re-fitter watching (attempts 0, model still v1) rather than
-	// swapping — it only acts when the model goes stale.
-	rs, ok := eng.RefitStatus()
-	fmt.Printf("\nrefit controller: enabled=%v attempts=%d swaps=%d rejected=%d model v%d\n",
-		ok && rs.Enabled, rs.Attempts, rs.Swaps, rs.Rejected, rs.DesignVersion)
-	resp, err = http.Get(obsURL + "/debug/refit")
-	if err != nil {
-		log.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("GET /debug/refit -> %s, %d bytes of JSON\n", resp.Status, len(body))
+	// Drift's two verdicts: shape (do the cells disagree with each
+	// other?) and scale (does the host-wide factor disagree with the
+	// model?). A workload that only ever runs one path populates one
+	// cell, so only the scale verdict can see its miscalibration.
+	fmt.Printf("  shape stale=%v   scale stale=%v (scale drift %.3f)\n",
+		snap.Drift.Stale, snap.Drift.ScaleStale, snap.Drift.ScaleDrift)
 }

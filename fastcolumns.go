@@ -41,7 +41,6 @@ import (
 	"fastcolumns/internal/model"
 	"fastcolumns/internal/obs"
 	"fastcolumns/internal/optimizer"
-	"fastcolumns/internal/refit"
 	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/scan"
 	"fastcolumns/internal/stats"
@@ -69,11 +68,6 @@ type Path = model.Path
 // selectivity estimates behind it, and the (microsecond-scale) time the
 // decision itself took.
 type Decision = optimizer.Decision
-
-// Design is the cost model's design-constant block (Table 1 plus the
-// Appendix C fitting constants); Config.Design overrides the optimizer's
-// starting point with one.
-type Design = model.Design
 
 // Re-exported path constants.
 const (
@@ -108,27 +102,11 @@ type Config struct {
 	// ArenaRetain caps the rowID capacity (entries) of buffers the
 	// result arena keeps across batches (<= 0: the default 4M).
 	ArenaRetain int
-	// Design overrides the optimizer's starting cost-model constants
-	// (nil: the paper's fitted design). Useful for replaying a saved fit,
-	// or for experiments that start from deliberately stale constants to
-	// exercise the drift/refit loop.
-	Design *Design
-	// EnableRefit starts a background controller that watches the drift
-	// accounting and, when the fitted constants go stale on this host,
-	// re-fits them from live traces and hot-swaps the optimizer's design.
-	EnableRefit bool
-	// RefitInterval and RefitCooldown tune the controller's poll cadence
-	// and post-attempt hysteresis (<= 0: 2s and 30s). RefitMinObs is the
-	// harvested-observation floor below which no fit runs (<= 0: 16).
-	RefitInterval time.Duration
-	RefitCooldown time.Duration
-	RefitMinObs   int
 }
 
 // Engine is a FastColumns instance: a set of tables plus the APS
 // optimizer configured for one machine profile.
 type Engine struct {
-	hw          Hardware
 	opt         *optimizer.Optimizer
 	fanout      int
 	blockTuples int
@@ -138,7 +116,6 @@ type Engine struct {
 	// passes publishes every table scan while it runs, so a Cooperative
 	// server's late submissions can attach to it mid-pass.
 	passes *coop.Manager
-	refitc *refit.Controller
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -155,13 +132,8 @@ func New(cfg Config) *Engine {
 		fanout = index.DefaultFanout
 	}
 	observer := obs.NewObserver(cfg.TraceCap)
-	opt := optimizer.New(hw)
-	if cfg.Design != nil {
-		opt = optimizer.NewWithDesign(hw, *cfg.Design)
-	}
 	e := &Engine{
-		hw:          hw,
-		opt:         opt,
+		opt:         optimizer.New(hw),
 		fanout:      fanout,
 		blockTuples: cfg.BlockTuples,
 		observer:    observer,
@@ -171,26 +143,14 @@ func New(cfg Config) *Engine {
 		tables:      make(map[string]*Table),
 	}
 	e.opt.SetMetrics(e.observer.Metrics)
-	if cfg.EnableRefit {
-		e.refitc = refit.New(e.opt, e.observer, refit.Options{
-			Interval:        cfg.RefitInterval,
-			Cooldown:        cfg.RefitCooldown,
-			MinObservations: cfg.RefitMinObs,
-		})
-		e.refitc.Start()
-	}
 	return e
 }
 
-// Close shuts the engine down: the refit controller (if any) stops, then
-// the worker pool's queued morsels drain and the workers exit. Close the
-// engine after any Server built on it. Idempotent; queries issued after
-// Close still answer correctly (morsel dispatch degrades to inline
-// execution).
+// Close shuts the engine down: the worker pool's queued morsels drain and
+// the workers exit. Close the engine after any Server built on it.
+// Idempotent; queries issued after Close still answer correctly (morsel
+// dispatch degrades to inline execution).
 func (e *Engine) Close() {
-	if e.refitc != nil {
-		e.refitc.Close()
-	}
 	e.pool.Close()
 }
 
@@ -205,16 +165,9 @@ func (e *Engine) Observer() *obs.Observer { return e.observer }
 // still describe this host.
 func (e *Engine) Observe() obs.Snapshot { return e.observer.Snapshot() }
 
-// Hardware returns the profile the optimizer currently models — after an
-// online refit this can differ from the configured profile (the fit
-// adjusts the pipelining factor).
+// Hardware returns the profile the optimizer models: the configured one,
+// or HW1 when Config.Hardware was left zero.
 func (e *Engine) Hardware() Hardware { return e.opt.HW() }
-
-// RefitStatus returns the refit controller's state; ok is false when the
-// engine was built without EnableRefit.
-func (e *Engine) RefitStatus() (st obs.RefitStatus, ok bool) {
-	return e.observer.RefitStatus()
-}
 
 // CreateTable registers a new empty table.
 func (e *Engine) CreateTable(name string) (*Table, error) {

@@ -218,39 +218,6 @@ func Fit(obs []Observation, hw model.Hardware, base model.Design) (FitResult, er
 	return res, nil
 }
 
-// HoldoutError scores one (hardware, design) hypothesis against a
-// held-out observation set: the sum of the normalized squared errors of
-// every path the holdout actually measured (scan, index, packed scan).
-// The refit controller compares the incumbent and a candidate fit on the
-// same holdout and keeps whichever scores lower — an apples-to-apples
-// residual comparison, since both hypotheses face observations neither
-// was trained on. Returns NaN when the holdout has no usable
-// measurement on any path.
-func HoldoutError(obs []Observation, hw model.Hardware, dg model.Design) float64 {
-	parts := [3]float64{
-		normErr(obs,
-			func(o Observation) float64 { return model.SharedScan(params(o, hw, dg)) },
-			func(o Observation) float64 { return o.ScanSec }),
-		normErr(obs,
-			func(o Observation) float64 { return model.ConcIndex(params(o, hw, dg)) },
-			func(o Observation) float64 { return o.IndexSec }),
-		normErr(obs,
-			func(o Observation) float64 { return model.SharedScanPacked(packedParams(o, hw, dg)) },
-			func(o Observation) float64 { return o.PackedScanSec }),
-	}
-	total, any := 0.0, false
-	for _, p := range parts {
-		if !math.IsNaN(p) {
-			total += p
-			any = true
-		}
-	}
-	if !any {
-		return math.NaN()
-	}
-	return total
-}
-
 // Errors recomputes the normalized least-square errors of a fitted result
 // against an observation set (e.g. a held-out sweep), mirroring the
 // "S:…, I:…" annotations on Figure 20's panels.

@@ -165,37 +165,9 @@ func TestRangeCountAgreesWithSelect(t *testing.T) {
 	}
 }
 
-func TestRangeWithStats(t *testing.T) {
-	c := randomColumn(8, 50000, 1<<20)
-	tr := Build(c, 21)
-	out, st := tr.RangeWithStats(0, 1<<18, nil)
-	if st.EntriesRead != len(out) {
-		t.Fatalf("EntriesRead=%d, result size %d", st.EntriesRead, len(out))
-	}
-	if st.LevelsVisited != tr.Height() {
-		t.Fatalf("LevelsVisited=%d, height %d", st.LevelsVisited, tr.Height())
-	}
-	// ~1/4 of a uniformly random domain qualifies; leaves touched must be
-	// about result/fanout.
-	minLeaves := st.EntriesRead / tr.Fanout()
-	if st.LeavesTouched < minLeaves {
-		t.Fatalf("LeavesTouched=%d below minimum %d", st.LeavesTouched, minLeaves)
-	}
-	if st.LeavesTouched > minLeaves+2+st.EntriesRead/tr.Fanout() {
-		t.Fatalf("LeavesTouched=%d implausibly high (entries %d)", st.LeavesTouched, st.EntriesRead)
-	}
-	want := refRange(c, 0, 1<<18)
-	SortRowIDs(out)
-	if !equalIDs(out, want) {
-		t.Fatal("RangeWithStats result disagrees with reference")
-	}
-	// Empty range: no events.
-	_, st = tr.RangeWithStats(10, 5, nil)
-	if st.LevelsVisited != 0 || st.LeavesTouched != 0 {
-		t.Fatalf("inverted range should count nothing: %+v", st)
-	}
-}
-
+// TestSharedSelect pins a batch of narrow, point, empty ({20000, 30000}
+// lies past the domain) and whole-domain ranges to the reference, from
+// a default-sized pool up to more workers than queries.
 func TestSharedSelect(t *testing.T) {
 	c := randomColumn(9, 30000, 10000)
 	tr := Build(c, 21)
@@ -203,16 +175,22 @@ func TestSharedSelect(t *testing.T) {
 		{0, 100}, {5000, 5200}, {9999, 9999}, {20000, 30000}, {0, 9999},
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		results := tr.SharedSelect(ranges, workers)
-		if len(results) != len(ranges) {
-			t.Fatalf("got %d result sets", len(results))
+		pool := rt.NewPool(workers, nil)
+		res, err := tr.SharedSelectContext(context.Background(), pool, rt.NewArena(0, nil), ranges, nil)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.RowIDs) != len(ranges) {
+			t.Fatalf("got %d result sets", len(res.RowIDs))
 		}
 		for qi, r := range ranges {
 			want := refRange(c, r[0], r[1])
-			if !equalIDs(results[qi], want) {
+			if !equalIDs(res.RowIDs[qi], want) {
 				t.Fatalf("workers=%d query %d disagrees", workers, qi)
 			}
 		}
+		res.Release()
 	}
 }
 

@@ -126,57 +126,6 @@ func SortRowIDs(ids []storage.RowID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
-// ProbeStats counts the work one range probe performs; the simulated-time
-// executor charges hardware costs per counted event.
-type ProbeStats struct {
-	// LevelsVisited is the number of tree levels the descent touched.
-	LevelsVisited int
-	// InternalKeysRead counts separator keys compared during the descent.
-	InternalKeysRead int
-	// LeavesTouched is the number of distinct leaf nodes visited.
-	LeavesTouched int
-	// EntriesRead is the number of (key, rowID) pairs streamed out of the
-	// leaves (the qualifying result size).
-	EntriesRead int
-}
-
-// RangeWithStats is RangeRowIDs instrumented with the event counts the
-// memory-hierarchy simulator charges for.
-func (t *Tree) RangeWithStats(lo, hi storage.Value, out []storage.RowID) ([]storage.RowID, ProbeStats) {
-	var st ProbeStats
-	if lo > hi || t.count == 0 {
-		return out, st
-	}
-	n := t.root
-	for !n.leaf {
-		st.LevelsVisited++
-		ci := lowerBound(n.keys, lo)
-		// A linear intra-node search reads ci+1 separators on average; the
-		// model charges b/2 sequential key reads per level.
-		st.InternalKeysRead += ci + 1
-		n = n.children[ci]
-	}
-	st.LevelsVisited++
-	i := lowerBound(n.keys, lo)
-	if i == len(n.keys) {
-		n = n.next
-		i = 0
-	}
-	for n != nil {
-		st.LeavesTouched++
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return out, st
-			}
-			out = append(out, n.rowIDs[i])
-			st.EntriesRead++
-		}
-		n = n.next
-		i = 0
-	}
-	return out, st
-}
-
 // probeJob is one pooled shared-index-scan dispatch: one morsel per
 // range query. It implements runtime.Job. Probe cost is proportional
 // to a query's result cardinality, so a skewed batch makes the old
@@ -247,38 +196,4 @@ func (t *Tree) SharedSelectContext(ctx context.Context, pool *rt.Pool, arena *rt
 	j.t, j.ranges, j.hints, j.arena = nil, nil, nil, nil
 	probeJobPool.Put(j)
 	return res, err
-}
-
-// SharedSelect is the compatibility wrapper over SharedSelectContext:
-// morsels dispatch on the process-wide default pool with plainly
-// allocated buffers. workers is advisory: 1 selects the serial probe
-// loop.
-func (t *Tree) SharedSelect(ranges [][2]storage.Value, workers int) [][]storage.RowID {
-	if len(ranges) == 0 {
-		return make([][]storage.RowID, 0)
-	}
-	if workers == 1 || len(ranges) == 1 {
-		results := make([][]storage.RowID, len(ranges))
-		for qi, r := range ranges {
-			results[qi] = t.Select(r[0], r[1], nil)
-		}
-		return results
-	}
-	res, err := t.sharedSelectPool(rt.Default(), ranges)
-	if err != nil {
-		// Only injected morsel faults can fail a background-context
-		// dispatch; answer the batch serially rather than dropping it.
-		results := make([][]storage.RowID, len(ranges))
-		for qi, r := range ranges {
-			results[qi] = t.Select(r[0], r[1], nil)
-		}
-		return results
-	}
-	//fclint:ignore arenaescape compat wrapper runs with a nil arena, so RowIDs are heap-backed, never pooled
-	return res.RowIDs
-}
-
-// sharedSelectPool is SharedSelectContext without cancellation.
-func (t *Tree) sharedSelectPool(pool *rt.Pool, ranges [][2]storage.Value) (*rt.Results, error) {
-	return t.SharedSelectContext(context.Background(), pool, nil, ranges, nil)
 }

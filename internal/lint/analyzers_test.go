@@ -21,23 +21,11 @@ func TestErrdropFixture(t *testing.T) { runFixture(t, NewErrdrop(), "errdrop") }
 
 func TestGospawnFixture(t *testing.T) { runFixture(t, NewGospawn(), "gospawn") }
 
-func TestAtomicswapFixture(t *testing.T) { runFixture(t, NewAtomicswap(), "atomicswap") }
-
 func TestPoolsafeFixture(t *testing.T) { runFixture(t, NewPoolsafe(), "poolsafe") }
 
 func TestLockholdFixture(t *testing.T) { runFixture(t, NewLockhold(), "lockhold") }
 
 func TestArenaescapeFixture(t *testing.T) { runFixture(t, NewArenaescape(), "arenaescape") }
-
-// TestAtomicswapUnmarked proves the directive is the trigger: with no
-// marked struct in scope the same accesses are nobody's business.
-func TestAtomicswapUnmarked(t *testing.T) {
-	l, pkg := loadFixture(t, "atomicfield") // mixes plain field access, no directive
-	diags := Run(l.Fset(), []*Package{pkg}, []Analyzer{NewAtomicswap()})
-	if len(diags) != 0 {
-		t.Fatalf("expected no diagnostics without the directive, got %d: %v", len(diags), diags)
-	}
-}
 
 // TestGospawnAllowlist proves the runtime-package allowance: the same
 // spawning fixture is quiet when its path is allowed (as

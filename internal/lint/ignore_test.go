@@ -103,7 +103,6 @@ func TestSuppressionLedger(t *testing.T) {
 	want := []string{
 		"fastcolumns.go lockhold",
 		"internal/coop/coop.go ctxflow",
-		"internal/index/probe.go arenaescape",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("suppression ledger drifted:\n got %v\nwant %v", got, want)

@@ -1,5 +1,5 @@
 // Package lint is the repo's own static-analysis suite: a stdlib-only
-// (go/ast, go/parser, go/token, go/types) driver plus ten analyzers that
+// (go/ast, go/parser, go/token, go/types) driver plus nine analyzers that
 // turn this codebase's concurrency, lifetime, and cost-model conventions
 // into machine-checked invariants. The serve path's resilience guarantees
 // (errors-not-panics, context threading, atomic counters) and the cost
@@ -7,7 +7,7 @@
 // ratio 1.0) are only as strong as the code that follows them; fclint
 // makes "follows them" a build failure instead of a review habit.
 //
-// Seven analyzers are per-node AST walks; the three lifetime analyzers
+// Six analyzers are per-node AST walks; the three lifetime analyzers
 // (poolsafe, lockhold, arenaescape) run on an intra-procedural CFG +
 // worklist-dataflow engine (cfg.go, dataflow.go) with one-level
 // cross-package call summaries for blocking and releasing effects
@@ -29,11 +29,6 @@
 //   - gospawn: no raw go statements in library packages; goroutines come
 //     from the internal/runtime worker pool (morsel dispatch) or its Go
 //     escape hatch, so the process has exactly one spawn site.
-//   - atomicswap: fields of structs marked //fclint:atomicswap (state
-//     republished wholesale through an atomic snapshot pointer, like the
-//     optimizer's) are accessed only from the struct's own methods;
-//     everyone else uses the snapshot accessors, so a concurrent
-//     hot-swap can never tear a read.
 //   - poolsafe: a value checked out of the result arena or a sync.Pool
 //     is never used after Release/Put on any path, and is released (or
 //     ownership-transferred) on every path to a normal return.
@@ -95,7 +90,6 @@ func Analyzers() []Analyzer {
 		NewFloatcmp(),
 		NewErrdrop(),
 		NewGospawn(),
-		NewAtomicswap(),
 		NewPoolsafe(),
 		NewLockhold(),
 		NewArenaescape(),

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Lockhold checks the two mutex disciplines the hot-swap and scheduling
+// Lockhold checks the two mutex disciplines the storage and scheduling
 // layers depend on:
 //
 //   - pairing: every sync.Mutex/RWMutex Lock (and RLock) is matched by
@@ -19,8 +19,7 @@ import (
 //     time.Sleep, WaitGroup waits, network I/O, or a call to a module
 //     function whose summary says it may do any of those (pool Dispatch
 //     blocks on its WaitGroup, for example). A parked writer stalls
-//     every reader and writer behind it; the refit controller's swap
-//     path is exactly the kind of code this protects.
+//     every reader and writer behind it.
 //
 // The blocking rule is deliberately scoped to exclusive locks: the
 // engine's serve path holds an RLock across Dispatch by design (readers

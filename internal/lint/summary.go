@@ -494,3 +494,20 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 		}
 	}
 }
+
+// namedTypeName unwraps pointers and returns the *types.TypeName of a
+// named type, or nil.
+func namedTypeName(t types.Type) *types.TypeName {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	return named.Obj()
+}

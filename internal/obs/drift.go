@@ -8,21 +8,25 @@ import (
 
 // Model-drift accounting. The Appendix C fit calibrates the cost model's
 // constants (alpha, fp, f_s, beta) to one host; once fitted, predicted
-// batch costs should track measured runtimes up to a single host-wide
-// scale factor (the model predicts on an idealized machine, so an
-// overall constant offset is expected and harmless — it cancels out of
-// the APS *ratio* the decision rule uses). What is NOT harmless is the
-// scale factor differing across workload regions: that means the model's
-// *shape* is wrong — e.g. a stale alpha mis-weighs result writing, which
-// only shows at high selectivity — and the scan/probe break-even point
-// the optimizer computes has moved away from the real one.
+// batch costs should track measured runtimes. The model predicts on an
+// idealized machine, so some host-wide offset is expected, and it cancels
+// out of the APS *ratio* the decision rule uses — but only when every
+// path shares it. An offset that only the scan (or only the probe) pays
+// moves the scan/probe break-even point just as surely as a wrong
+// constant does, and a workload that only ever runs one path cannot show
+// whether its offset is shared.
 //
-// Drift therefore accumulates measured/predicted ratios per
-// (path, selectivity-band) cell and reports, for each cell, how far its
-// ratio deviates from the global one in log space. A freshly fitted
-// design keeps all cells near the global factor; a stale or mis-fitted
-// one pulls selectivity bands apart, and MaxDrift crossing the threshold
-// is the signal to re-run internal/fit on this host.
+// Drift therefore reports two verdicts. Shape: measured/predicted ratios
+// accumulate per (path, selectivity-band) cell, and each cell reports how
+// far its ratio deviates from the global one in log space. A stale or
+// mis-fitted design pulls cells apart — e.g. a stale alpha mis-weighs
+// result writing, which only shows at high selectivity — and MaxDrift
+// crossing the threshold sets Stale. Shape needs two populated cells to
+// see anything. Scale: ScaleDrift is how far the global ratio itself is
+// from 1 in log space, and ScaleStale says it crossed the same threshold;
+// it sees a one-cell workload's miscalibration, but not whether the path
+// that never ran shares it. Either verdict is the signal to re-run
+// internal/fit on this host.
 
 // selBands partitions mean per-query selectivity into log-spaced bands;
 // band i covers [selBands[i-1], selBands[i]) with band 0 starting at 0.
@@ -120,16 +124,6 @@ func (d *Drift) Record(path string, meanSel, predicted, measured float64) {
 	d.mu.Unlock()
 }
 
-// Reset discards all accumulated evidence. The refit controller calls it
-// after hot-swapping a new design: the retained ratios were measured
-// against the old constants, and judging the fresh fit by them would
-// either hide new drift or re-trigger a refit immediately.
-func (d *Drift) Reset() {
-	d.mu.Lock()
-	d.cells = make(map[cellKey]*driftCell)
-	d.mu.Unlock()
-}
-
 // DriftCell is one (path, selectivity-band) row of the report.
 type DriftCell struct {
 	// Path is the access path the cell's batches executed through.
@@ -156,7 +150,8 @@ type DriftReport struct {
 	// Cells holds every populated cell, sorted by (path, band).
 	Cells []DriftCell `json:"cells"`
 	// GlobalRatio is the host-wide measured/predicted factor — the
-	// constant calibration offset the ratio-based decision rule tolerates.
+	// calibration offset the ratio-based decision rule tolerates when
+	// every path shares it.
 	GlobalRatio float64 `json:"global_ratio"`
 	// MaxDrift is the largest per-cell drift among cells with at least
 	// MinSamples batches; Threshold is the staleness trigger.
@@ -164,9 +159,18 @@ type DriftReport struct {
 	Threshold float64 `json:"threshold"`
 	// MinSamples is the evidence floor a cell needs to drive the verdict.
 	MinSamples int64 `json:"min_samples"`
-	// Stale reports MaxDrift > Threshold: the fitted constants have gone
-	// stale on this host and a re-calibration via internal/fit is due.
+	// Stale is the shape verdict, MaxDrift > Threshold: the cells
+	// disagree with each other, so the fitted constants have gone stale
+	// on this host and a re-calibration via internal/fit is due. It
+	// cannot see an offset every populated cell shares; ScaleStale can.
 	Stale bool `json:"stale"`
+	// ScaleDrift is |ln GlobalRatio|: how far the host-wide factor is
+	// from the model's own scale (0 with no evidence yet).
+	ScaleDrift float64 `json:"scale_drift"`
+	// ScaleStale is the scale verdict, ScaleDrift > Threshold: measured
+	// costs are off the model's absolute predictions by more than the
+	// threshold factor.
+	ScaleStale bool `json:"scale_stale"`
 }
 
 // Report computes the current drift picture.
@@ -226,5 +230,9 @@ func (d *Drift) Report() DriftReport {
 		return rep.Cells[i].Band < rep.Cells[j].Band
 	})
 	rep.Stale = rep.MaxDrift > rep.Threshold
+	if rep.GlobalRatio > 0 {
+		rep.ScaleDrift = math.Abs(math.Log(rep.GlobalRatio))
+	}
+	rep.ScaleStale = rep.ScaleDrift > rep.Threshold
 	return rep
 }

@@ -31,8 +31,8 @@ func TestBandOf(t *testing.T) {
 
 // TestDriftUniformFactorIsNotDrift: a model that is wrong by the same
 // constant factor everywhere is merely uncalibrated in absolute terms —
-// the APS ratio cancels the factor, so the decision boundary is intact
-// and no drift may be reported.
+// the APS ratio cancels a factor every path shares, so no shape drift may
+// be reported.
 func TestDriftUniformFactorIsNotDrift(t *testing.T) {
 	d := NewDrift(0)
 	for i, sel := range []float64{1e-5, 5e-4, 5e-3, 0.05, 0.5} {
@@ -74,6 +74,43 @@ func TestDriftShapeErrorIsDrift(t *testing.T) {
 	}
 	if rep.MaxDrift <= rep.Threshold {
 		t.Fatalf("MaxDrift = %v, want > threshold %v", rep.MaxDrift, rep.Threshold)
+	}
+}
+
+// TestDriftScaleSeesOneCellOffset: a workload that only ever runs one
+// path populates one cell, which is its own global reference, so shape
+// drift is 0 however far off the model is. The scale verdict must still
+// see a 541x offset, and neither verdict may fire on two cells near 1x.
+func TestDriftScaleSeesOneCellOffset(t *testing.T) {
+	one := NewDrift(0)
+	for j := 0; j < 30; j++ {
+		one.Record("scan", 5e-3, 1e-3, 541e-3)
+	}
+	rep := one.Report()
+	if len(rep.Cells) != 1 {
+		t.Fatalf("cells = %d, want 1", len(rep.Cells))
+	}
+	if rep.Stale {
+		t.Fatalf("one cell flagged shape-stale: MaxDrift %v", rep.MaxDrift)
+	}
+	if !rep.ScaleStale {
+		t.Fatalf("541x offset not scale-stale: %+v", rep)
+	}
+	if want := math.Log(541); math.Abs(rep.ScaleDrift-want) > 1e-9 {
+		t.Fatalf("ScaleDrift = %v, want ln 541 = %v", rep.ScaleDrift, want)
+	}
+
+	two := NewDrift(0)
+	for j := 0; j < 5; j++ {
+		two.Record("scan", 5e-3, 1e-3, 1.1e-3)
+		two.Record("index", 5e-3, 1e-3, 0.9e-3)
+	}
+	rep = two.Report()
+	if len(rep.Cells) != 2 {
+		t.Fatalf("cells = %d, want 2", len(rep.Cells))
+	}
+	if rep.Stale || rep.ScaleStale {
+		t.Fatalf("two cells near 1x flagged stale (shape %v, scale %v): %+v", rep.Stale, rep.ScaleStale, rep)
 	}
 }
 

@@ -8,12 +8,9 @@ import (
 
 // Handler returns a stdlib-only debug endpoint over the observer:
 //
-//	GET /metrics          — full JSON snapshot (metrics + drift report +
-//	                        refit controller state when one is attached)
+//	GET /metrics          — full JSON snapshot (metrics + drift report)
 //	GET /debug/decisions  — recent decision trace entries, oldest first;
 //	                        ?n=K limits to the last K entries
-//	GET /debug/refit      — the refit controller's state alone (404 when
-//	                        no controller is attached)
 //
 // Mount it on any mux or serve it on its own listener; handlers only
 // read snapshots, so they never contend with the hot path beyond the
@@ -21,23 +18,10 @@ import (
 func (o *Observer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var refit *RefitStatus
-		if st, ok := o.RefitStatus(); ok {
-			refit = &st
-		}
 		writeJSON(w, struct {
 			Metrics RegistrySnapshot `json:"metrics"`
 			Drift   DriftReport      `json:"drift"`
-			Refit   *RefitStatus     `json:"refit,omitempty"`
-		}{o.Metrics.Snapshot(), o.Drift.Report(), refit})
-	})
-	mux.HandleFunc("/debug/refit", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := o.RefitStatus()
-		if !ok {
-			http.Error(w, "no refit controller attached", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, st)
+		}{o.Metrics.Snapshot(), o.Drift.Report()})
 	})
 	mux.HandleFunc("/debug/decisions", func(w http.ResponseWriter, r *http.Request) {
 		n := 0

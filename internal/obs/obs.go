@@ -19,44 +19,6 @@
 // allocation-regression tests pin this down).
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// RefitStatus is the refit controller's externally visible state: how
-// many online re-fit attempts ran, how they ended, and why the last
-// rejection happened. The controller (internal/refit) publishes a fresh
-// copy after every attempt via Observer.SetRefitStatus; /metrics and
-// /debug/refit surface it. Counters here mirror the fit.refit.* registry
-// instruments but add the string-valued fields a numeric registry cannot
-// carry (outcome, rejection reason).
-type RefitStatus struct {
-	// Enabled reports whether a controller is running at all.
-	Enabled bool `json:"enabled"`
-	// Attempts counts refit cycles that ran the fitter; Swaps counts the
-	// candidates accepted and hot-swapped; Rejected counts candidates
-	// discarded by holdout validation; Failures counts fitter errors and
-	// recovered panics (the chaos site fires here).
-	Attempts int64 `json:"attempts"`
-	Swaps    int64 `json:"swaps"`
-	Rejected int64 `json:"rejected"`
-	Failures int64 `json:"failures"`
-	// LastAt is when the most recent attempt finished; LastDuration how
-	// long it took.
-	LastAt       time.Time     `json:"last_at"`
-	LastDuration time.Duration `json:"last_duration_ns"`
-	// LastOutcome is "swapped", "rejected", "failed", or "" before any
-	// attempt. LastRejectReason and LastError detail the latest rejection
-	// or failure (sticky until superseded).
-	LastOutcome      string `json:"last_outcome"`
-	LastRejectReason string `json:"last_reject_reason,omitempty"`
-	LastError        string `json:"last_error,omitempty"`
-	// DesignVersion is the optimizer snapshot version after the last
-	// attempt — it increments exactly when a hot-swap landed.
-	DesignVersion uint64 `json:"design_version"`
-}
-
 // Observer bundles the observability surfaces the engine threads
 // through its serve path. One Observer is shared by an Engine and every
 // Server over it.
@@ -68,24 +30,6 @@ type Observer struct {
 	// Drift accumulates predicted-vs-measured cost ratios per
 	// (path, selectivity-band) cell.
 	Drift *Drift
-
-	refit atomic.Pointer[RefitStatus]
-}
-
-// SetRefitStatus publishes the refit controller's latest state; nil
-// pointer stores are not allowed (publish a zero RefitStatus instead).
-func (o *Observer) SetRefitStatus(st RefitStatus) {
-	o.refit.Store(&st)
-}
-
-// RefitStatus returns the latest published controller state; ok is false
-// when no controller ever published (refit disabled on this engine).
-func (o *Observer) RefitStatus() (st RefitStatus, ok bool) {
-	p := o.refit.Load()
-	if p == nil {
-		return RefitStatus{}, false
-	}
-	return *p, true
 }
 
 // NewObserver builds an observer whose decision trace keeps the last
@@ -104,20 +48,13 @@ type Snapshot struct {
 	Metrics   RegistrySnapshot `json:"metrics"`
 	Decisions []TraceEntry     `json:"decisions"`
 	Drift     DriftReport      `json:"drift"`
-	// Refit is the refit controller's state; nil when no controller is
-	// attached to this engine.
-	Refit *RefitStatus `json:"refit,omitempty"`
 }
 
 // Snapshot captures the current state of all surfaces.
 func (o *Observer) Snapshot() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		Metrics:   o.Metrics.Snapshot(),
 		Decisions: o.Trace.Snapshot(0),
 		Drift:     o.Drift.Report(),
 	}
-	if st, ok := o.RefitStatus(); ok {
-		s.Refit = &st
-	}
-	return s
 }

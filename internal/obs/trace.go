@@ -28,8 +28,7 @@ type TraceEntry struct {
 	Q int `json:"q"`
 	// N and TupleSize are the relation's tuple count and width in bytes as
 	// the model saw them — together with Q and the selectivity summary they
-	// make the entry replayable as a fit.Observation, which is how the
-	// refit controller harvests live training data from this ring.
+	// make the entry replayable as a fit.Observation.
 	N         int     `json:"n"`
 	TupleSize float64 `json:"tuple_size"`
 	// Path is the chosen access path ("scan", "index", "bitmap").

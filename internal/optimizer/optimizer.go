@@ -10,7 +10,6 @@ package optimizer
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"fastcolumns/internal/exec"
@@ -20,88 +19,20 @@ import (
 	"fastcolumns/internal/stats"
 )
 
-// Snapshot is the optimizer's swappable state: everything a decision
-// depends on that an online re-fit may replace. Readers obtain a
-// consistent copy through Optimizer.Snapshot (or the HW/Design
-// convenience accessors) — never by caching field references across a
-// potential swap.
-type Snapshot struct {
-	HW     model.Hardware
-	Design model.Design
-	// Version counts swaps: 1 at construction, +1 per SwapDesign or
-	// SwapModel. Observability surfaces it so a hot-swap is visible.
-	Version uint64
-}
-
-// Optimizer is the APS module: hardware and design are captured in an
-// atomically swappable snapshot at initialization; everything else
-// arrives per batch. The indirection is what lets the refit controller
-// hot-swap a freshly fitted Design while batches keep deciding — readers
-// always see either the old or the new snapshot, never a torn mix.
-//
-//fclint:atomicswap
+// Optimizer is the APS module: hardware and design are captured once at
+// initialization (Section 3); everything else arrives per batch.
 type Optimizer struct {
-	snap atomic.Pointer[Snapshot]
+	hw     model.Hardware
+	design model.Design
 
 	m *optMetrics
 }
 
-// Snapshot returns a consistent copy of the optimizer's current state.
-// Multi-field readers (budget derivation, robustness explanations) must
-// use this rather than separate HW()/Design() calls, so a concurrent swap
-// cannot hand them mismatched halves.
-func (o *Optimizer) Snapshot() Snapshot { return *o.snap.Load() }
+// HW returns the hardware profile.
+func (o *Optimizer) HW() model.Hardware { return o.hw }
 
-// HW returns the current hardware profile.
-func (o *Optimizer) HW() model.Hardware { return o.snap.Load().HW }
-
-// Design returns the current design constants.
-func (o *Optimizer) Design() model.Design { return o.snap.Load().Design }
-
-// Version returns the snapshot version (1 at construction, +1 per swap).
-func (o *Optimizer) Version() uint64 { return o.snap.Load().Version }
-
-// install publishes the first snapshot; constructors delegate here so
-// every store to the atomic pointer lives in a method of Optimizer.
-func (o *Optimizer) install(s *Snapshot) {
-	s.Version = 1
-	o.snap.Store(s)
-}
-
-// SwapDesign atomically replaces the design constants, preserving the
-// hardware profile, and returns the design it displaced. In-flight
-// decisions that already loaded the old snapshot finish on it; the next
-// decision sees the new constants. This is the refit controller's
-// publication point.
-func (o *Optimizer) SwapDesign(dg model.Design) model.Design {
-	for {
-		cur := o.snap.Load()
-		next := *cur
-		next.Design = dg
-		next.Version = cur.Version + 1
-		if o.snap.CompareAndSwap(cur, &next) {
-			return cur.Design
-		}
-	}
-}
-
-// SwapModel atomically replaces hardware profile and design constants
-// together. A refit adjusts both (the fit's pipelining factor lives in
-// the hardware profile, the rest in the design), and publishing them as
-// one snapshot is what keeps concurrent readers from costing with a new
-// design against an old fp.
-func (o *Optimizer) SwapModel(hw model.Hardware, dg model.Design) {
-	for {
-		cur := o.snap.Load()
-		next := *cur
-		next.HW = hw
-		next.Design = dg
-		next.Version = cur.Version + 1
-		if o.snap.CompareAndSwap(cur, &next) {
-			return
-		}
-	}
-}
+// Design returns the design constants.
+func (o *Optimizer) Design() model.Design { return o.design }
 
 // optMetrics holds the optimizer's pre-resolved instruments so the
 // per-decision recording is two allocation-free atomic operations.
@@ -150,9 +81,7 @@ func New(hw model.Hardware) *Optimizer {
 // typically the output of fitting the model to the running machine
 // (Appendix C).
 func NewWithDesign(hw model.Hardware, dg model.Design) *Optimizer {
-	o := &Optimizer{}
-	o.install(&Snapshot{HW: hw, Design: dg})
-	return o
+	return &Optimizer{hw: hw, design: dg}
 }
 
 // Scan kernel names recorded in decisions: the packed SWAR kernel over
@@ -231,12 +160,11 @@ func ratioOf(indexCost, scanCost float64) float64 {
 // size, tuple width in bytes, and per-query selectivities.
 func (o *Optimizer) Choose(n int, tupleSize float64, sel []float64) Decision {
 	start := time.Now()
-	s := o.snap.Load()
 	p := model.Params{
 		Workload: model.Workload{Selectivities: sel},
 		Dataset:  model.Dataset{N: float64(n), TupleSize: tupleSize},
-		Hardware: s.HW,
-		Design:   s.Design,
+		Hardware: o.hw,
+		Design:   o.design,
 	}
 	scanCost := model.SharedScan(p)
 	indexCost := model.ConcIndex(p)
@@ -293,7 +221,6 @@ func Selectivity(rel *exec.Relation, h *stats.Histogram, p scan.Predicate) float
 // a secondary index force a scan.
 func (o *Optimizer) Decide(rel *exec.Relation, h *stats.Histogram, preds []scan.Predicate) Decision {
 	start := time.Now()
-	snap := o.snap.Load()
 	sel := make([]float64, len(preds))
 	for i, p := range preds {
 		sel[i] = Selectivity(rel, h, p)
@@ -301,8 +228,8 @@ func (o *Optimizer) Decide(rel *exec.Relation, h *stats.Histogram, preds []scan.
 	p := model.Params{
 		Workload: model.Workload{Selectivities: sel},
 		Dataset:  model.Dataset{N: float64(rel.Column.Len()), TupleSize: float64(rel.Column.TupleSize())},
-		Hardware: snap.HW,
-		Design:   snap.Design,
+		Hardware: o.hw,
+		Design:   o.design,
 	}
 	if rel.Index == nil && rel.Bitmap == nil {
 		// Only the scan exists; still predict its cost so the drift

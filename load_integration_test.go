@@ -112,14 +112,13 @@ func TestLoadHarnessShedsPastSaturation(t *testing.T) {
 }
 
 // TestLoadChaosUnderFaults runs the open loop while probabilistic faults
-// fire at three layers at once — worker-pool morsels panic, packed
-// materialization errors, and the background re-fit controller's
-// attempts fail. The contract: no reply is lost or doubled (the ledger
+// fire at two layers at once — worker-pool morsels panic and packed
+// materialization errors. The contract: no reply is lost or doubled (the ledger
 // balances and the server's counters reconcile exactly), and the
 // process winds down to the baseline goroutine count.
 func TestLoadChaosUnderFaults(t *testing.T) {
 	base := runtime.NumGoroutine()
-	eng := New(Config{EnableRefit: true, RefitInterval: 20 * time.Millisecond, RefitMinObs: 1})
+	eng := New(Config{})
 	defer eng.Close()
 	tbl, err := eng.CreateTable("t")
 	if err != nil {
@@ -140,7 +139,6 @@ func TestLoadChaosUnderFaults(t *testing.T) {
 	deactivate := faultinject.Activate(faultinject.New(7,
 		faultinject.Rule{Site: rt.FaultSiteMorsel, Kind: faultinject.Panic, Prob: 0.01},
 		faultinject.Rule{Site: scan.FaultSiteMaterialize, Kind: faultinject.Error, Prob: 0.02},
-		faultinject.Rule{Site: "fit.refit", Kind: faultinject.Error, Prob: 0.5},
 	))
 	defer deactivate()
 

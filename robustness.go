@@ -30,15 +30,14 @@ func (t *Table) ExplainRobustness(attr string, preds []Predicate) (Decision, Rob
 	if err != nil {
 		return Decision{}, Robustness{}, err
 	}
-	snap := t.engine.opt.Snapshot()
 	p := model.Params{
 		Workload: model.Workload{Selectivities: d.Selectivities},
 		Dataset: model.Dataset{
 			N:         float64(rel.Column.Len()),
 			TupleSize: float64(rel.Column.TupleSize()),
 		},
-		Hardware: snap.HW,
-		Design:   snap.Design,
+		Hardware: t.engine.opt.HW(),
+		Design:   t.engine.opt.Design(),
 	}
 	return d, Robustness{
 		ErrorMargin:        model.ErrorMargin(p),
