@@ -615,28 +615,6 @@ func qName(q int) string {
 
 // --- Extensions: Appendix D/E structures and the DSL front end -------------
 
-// BenchmarkAblationMultiwaySort: the W-way merge sort of Appendix D vs
-// the standard sort on an index-result-sized rowID set.
-func BenchmarkAblationMultiwaySort(b *testing.B) {
-	f := getFixture(b)
-	src := f.rel.Index.RangeRowIDs(0, benchDomain/50, nil) // ~2% of the column
-	work := make([]storage.RowID, len(src))
-	b.Run("stdsort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(work, src)
-			index.SortRowIDs(work)
-		}
-	})
-	for _, w := range []int{4, 8} {
-		b.Run("multiway_w"+qName(w)[1:], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(work, src)
-				index.SortRowIDsMultiway(work, w)
-			}
-		})
-	}
-}
-
 // BenchmarkAltPathBitmap: the three access paths answering an equality
 // query on a low-cardinality attribute (Appendix E's bitmap case).
 func BenchmarkAltPathBitmap(b *testing.B) {

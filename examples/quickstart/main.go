@@ -60,7 +60,7 @@ func main() {
 	}
 
 	// Appends land in a delta store and become visible after Merge, with
-	// the index extended incrementally.
+	// the index merged with the delta into a new tree.
 	if err := tbl.Append([]fastcolumns.Value{domain + 7}); err != nil {
 		log.Fatal(err)
 	}

@@ -11,66 +11,39 @@ import (
 )
 
 // RangeRowIDs appends the rowIDs of every entry with lo <= key <= hi to
-// out, in key order (ties in rowID order) — the natural order a leaf walk
-// produces. The caller sorts by rowID if the next operator needs a
-// scan-compatible result (Section 2.3, "Sorting the Result Set").
+// out, in key order (ties in rowID order): one contiguous copy of the
+// leaf level between lower(lo) and upper(hi). The caller sorts by rowID
+// if the next operator needs a scan-compatible result (Section 2.3,
+// "Sorting the Result Set").
 func (t *Tree) RangeRowIDs(lo, hi storage.Value, out []storage.RowID) []storage.RowID {
-	if lo > hi || t.count == 0 {
+	if lo > hi {
 		return out
 	}
-	leaf, i := t.seek(lo)
-	for leaf != nil {
-		for ; i < len(leaf.keys); i++ {
-			if leaf.keys[i] > hi {
-				return out
-			}
-			out = append(out, leaf.rowIDs[i])
-		}
-		leaf = leaf.next
-		i = 0
-	}
-	return out
+	return append(out, t.ids[t.lower(lo):t.upper(hi)]...)
 }
 
 // RangeCount returns the number of entries in [lo, hi] without
-// materializing them: rank(hi+1) − rank(lo), read off the internal
-// nodes' subtree counts in at most two root-to-leaf descents and no leaf
-// walk. While no separator falls in [lo, hi] the two descents take the
-// same child and the counts left of it cancel, so they run as one; below
-// the node where they part they run in lockstep, one level per step (the
-// tree is balanced). The optimizer prices every indexed batch from it.
-//
-// Each descent takes the leftmost child on separator equality, as seek
-// does: duplicates of a key may straddle a split, so entries equal to a
-// separator can sit in the child left of it, and every child left of the
-// one taken holds only smaller keys.
+// materializing them: the difference of two positions, upper(hi) −
+// lower(lo). The optimizer prices every indexed batch from it.
 func (t *Tree) RangeCount(lo, hi storage.Value) int {
-	if lo > hi || t.count == 0 {
+	if lo > hi {
 		return 0
 	}
-	a := t.root
-	i := lowerBound(a.keys, lo)
-	for !a.leaf && (i == len(a.keys) || a.keys[i] > hi) {
-		a = a.children[i]
-		i = lowerBound(a.keys, lo)
+	return t.upper(hi) - t.lower(lo)
+}
+
+// upper returns the number of entries whose key is <= hi: lower(hi+1),
+// or all of them when hi+1 would overflow.
+func (t *Tree) upper(hi storage.Value) int {
+	if hi == math.MaxInt32 {
+		return len(t.keys)
 	}
-	j := i + upperBound(a.keys[i:], hi)
-	if a.leaf {
-		return j - i
-	}
-	r := a.counts[j] - a.counts[i]
-	a, b := a.children[i], a.children[j]
-	for !a.leaf {
-		i, j = lowerBound(a.keys, lo), upperBound(b.keys, hi)
-		r += b.counts[j] - a.counts[i]
-		a, b = a.children[i], b.children[j]
-	}
-	return r + upperBound(b.keys, hi) - lowerBound(a.keys, lo)
+	return t.lower(hi + 1)
 }
 
 // lowerBound returns the number of keys < lo: the first position whose
-// key is >= lo. Every descent in the package searches a node with it; it
-// is written out rather than calling sort.Search so that it inlines.
+// key is >= lo. The descent searches every node with it; it is written
+// out rather than calling sort.Search so that it inlines.
 func lowerBound(keys []storage.Value, lo storage.Value) int {
 	i, j := 0, len(keys)
 	for i < j {
@@ -82,32 +55,6 @@ func lowerBound(keys []storage.Value, lo storage.Value) int {
 		}
 	}
 	return i
-}
-
-// upperBound returns the number of keys <= hi: the first position whose
-// key is >= hi+1, or all of them when hi+1 would overflow.
-func upperBound(keys []storage.Value, hi storage.Value) int {
-	if hi == math.MaxInt32 {
-		return len(keys)
-	}
-	return lowerBound(keys, hi+1)
-}
-
-// seek descends to the first leaf position whose key is >= lo. The
-// descent takes the leftmost viable child on separator equality: a
-// separator equal to lo means duplicates of lo may extend into the child
-// to its left, and the leaf chain recovers if that child holds none.
-func (t *Tree) seek(lo storage.Value) (*node, int) {
-	n := t.root
-	for !n.leaf {
-		ci := lowerBound(n.keys, lo)
-		n = n.children[ci]
-	}
-	i := lowerBound(n.keys, lo)
-	if i == len(n.keys) {
-		return n.next, 0
-	}
-	return n, i
 }
 
 // Select answers one select operator through the index: probe, then sort
@@ -130,8 +77,8 @@ func SortRowIDs(ids []storage.RowID) {
 // range query. It implements runtime.Job. Probe cost is proportional
 // to a query's result cardinality, so a skewed batch makes the old
 // static query partition straggle; with one morsel per query, idle
-// workers steal the cheap probes away from whoever is walking the long
-// leaf chain.
+// workers steal the cheap probes away from whoever is copying the long
+// result.
 type probeJob struct {
 	t      *Tree
 	ranges [][2]storage.Value

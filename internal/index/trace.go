@@ -30,43 +30,39 @@ type TraceEvent struct {
 }
 
 // Trace runs a range probe emitting one event per node visited and
-// returns the number of qualifying entries. It performs the same descent
-// and leaf walk as RangeRowIDs without materializing rowIDs.
+// returns the number of qualifying entries. The visits are read off the
+// two positions lower(lo) and upper(hi): the descent's path to the last
+// leaf whose first key is < lo, then every leaf from the one holding
+// position lower(lo) to the one holding upper(hi), where a leaf walk
+// would stop. Node ids follow the bulk load's numbering: leaves 1..L,
+// then each inner level left to right, the root last.
 func (t *Tree) Trace(lo, hi storage.Value, visit func(TraceEvent)) int {
-	if lo > hi || t.count == 0 {
+	n, b := len(t.keys), t.fanout
+	if lo > hi || n == 0 {
 		return 0
 	}
-	n := t.root
-	level := 0
-	for !n.leaf {
-		ci := lowerBound(n.keys, lo)
-		visit(TraceEvent{Kind: TraceInternal, NodeID: n.id, Level: level, KeysRead: ci + 1})
-		n = n.children[ci]
-		level++
+	p, q := t.lower(lo), t.upper(hi)
+	leaf := max(p-1, 0) / b
+	// On inner level m the path's node is leaf/b^m, its child taken is
+	// leaf/b^(m-1) mod b, and the level's ids start after those of every
+	// level below it.
+	first, span := 1, 1
+	for _, f := range t.firsts {
+		first += len(f)
+		span *= b
 	}
-	i := lowerBound(n.keys, lo)
-	if i == len(n.keys) {
-		n = n.next
-		i = 0
+	for m := len(t.firsts); m > 0; m-- {
+		visit(TraceEvent{Kind: TraceInternal, NodeID: first + leaf/span, Level: len(t.firsts) - m,
+			KeysRead: leaf/(span/b)%b + 1})
+		span /= b
+		first -= len(t.firsts[m-1])
 	}
-	total := 0
-	for n != nil {
-		entries := 0
-		done := false
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				done = true
-				break
-			}
-			entries++
-		}
-		visit(TraceEvent{Kind: TraceLeaf, NodeID: n.id, Level: level, Entries: entries})
-		total += entries
-		if done {
-			return total
-		}
-		n = n.next
-		i = 0
+	if p == n {
+		return 0
 	}
-	return total
+	for l := p / b; l <= min(q, n-1)/b; l++ {
+		visit(TraceEvent{Kind: TraceLeaf, NodeID: l + 1, Level: len(t.firsts),
+			Entries: min(q, (l+1)*b) - max(p, l*b)})
+	}
+	return q - p
 }

@@ -114,8 +114,8 @@ func (e *Engine) SharedScanBatched(preds []scan.Predicate, batch int) float64 {
 }
 
 // ConcIndex returns the simulated seconds for answering the batch with a
-// concurrent secondary-index scan. Every query's descent and leaf walk
-// happens on the real tree; each node visit is one simulated random
+// concurrent secondary-index scan. Every query's descent and leaf visits
+// are read off the real tree; each node visit is one simulated random
 // access (naturally shared at the top levels through the cache
 // simulator), leaf entries stream at leaf bandwidth, results write at
 // result bandwidth, and each result sorts at one cache access per
