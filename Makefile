@@ -76,12 +76,13 @@ coopsmoke:
 
 # diffalloc runs the differential suites (every kernel and source, and
 # every source through the pass driver, must select the same rowIDs as
-# the naive reference) and the zero-allocation guards on the scan,
-# index-count and observability hot paths. Both run inside `test` too; this target names
+# the naive reference, and the bitmap's counts must match its selects)
+# and the zero-allocation guards on the scan, index-count, bitmap-count
+# and observability hot paths. Both run inside `test` too; this target names
 # them so CI reports them as their own gate and developers can run just
 # these quickly.
 diffalloc:
-	$(GO) test -run 'Differential|ZeroAlloc' ./internal/scan ./internal/coop ./internal/obs ./internal/runtime ./internal/index
+	$(GO) test -run 'Differential|ZeroAlloc' ./internal/scan ./internal/coop ./internal/obs ./internal/runtime ./internal/index ./internal/bitmap
 
 # benchsmoke vets and tests the nested benchmark/ module. It has its own
 # go.mod (with a replace to this tree), so `go build ./... && go test

@@ -29,7 +29,6 @@ import (
 	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/scan"
 	"fastcolumns/internal/simexec"
-	"fastcolumns/internal/stats"
 	"fastcolumns/internal/storage"
 	"fastcolumns/internal/tpch"
 	"fastcolumns/internal/workload"
@@ -47,7 +46,6 @@ type fixture struct {
 	data []storage.Value
 	col  *storage.Column
 	rel  *exec.Relation
-	hist *stats.Histogram
 	zone *storage.Zonemap
 	sim  *simexec.Engine
 	// Dictionary compression needs a 16-bit-codeable domain; the
@@ -80,10 +78,6 @@ func getFixture(b *testing.B) *fixture {
 			Index:  index.Build(fix.col, index.DefaultFanout),
 		}
 		var err error
-		fix.hist, err = stats.BuildHistogram(fix.col, 128)
-		if err != nil {
-			panic(err)
-		}
 		fix.compData = workload.Uniform(2, benchN, compDomain)
 		fix.compCol = storage.NewColumn("c", fix.compData)
 		fix.comp, err = storage.Compress(fix.compCol)
@@ -281,7 +275,7 @@ func BenchmarkFig18Workloads(b *testing.B) {
 		preds := workload.Batch(42, sp.Q, sp.Selectivity, benchDomain)
 		b.Run(sp.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := opt.Decide(f.rel, f.hist, preds)
+				d := opt.Decide(f.rel, preds)
 				if _, err := exec.Run(context.Background(), f.rel, d.Path, preds, exec.Options{}); err != nil {
 					b.Fatal(err)
 				}
@@ -300,10 +294,6 @@ func BenchmarkFig19TPCH(b *testing.B) {
 	}
 	shipCol := storage.NewColumn("l_shipdate", l.ShipDate)
 	fcRel := &exec.Relation{Column: shipCol, Index: index.Build(shipCol, index.DefaultFanout)}
-	hist, err := stats.BuildHistogram(shipCol, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
 	opt := optimizer.New(model.HW1())
 	for _, run := range []struct {
 		name string
@@ -333,7 +323,7 @@ func BenchmarkFig19TPCH(b *testing.B) {
 		})
 		b.Run("fastcolumns/"+run.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := opt.Decide(fcRel, hist, []scan.Predicate{p})
+				d := opt.Decide(fcRel, []scan.Predicate{p})
 				res, err := exec.Run(context.Background(), fcRel, d.Path, []scan.Predicate{p}, exec.Options{})
 				if err != nil {
 					b.Fatal(err)
@@ -386,7 +376,7 @@ func BenchmarkAPSDecision(b *testing.B) {
 	preds := predsFor(64, 0.002)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = opt.Decide(f.rel, f.hist, preds)
+		_ = opt.Decide(f.rel, preds)
 	}
 }
 

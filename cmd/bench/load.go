@@ -66,7 +66,6 @@ func measureLoad(n int) loadResult {
 	for _, step := range []func() error{
 		func() error { return tbl.AddColumn("a", workload.Uniform(7, rows, domain)) },
 		func() error { return tbl.CreateIndex("a") },
-		func() error { return tbl.Analyze("a", 128) },
 	} {
 		if err := step(); err != nil {
 			log.Fatal(err)

@@ -105,8 +105,8 @@ func main() {
 		idx := measure(model.PathIndex, preds)
 		scn := measure(model.PathScan, preds)
 
-		// The index counts every selectivity exactly; no histogram needed.
-		d := opt.Decide(rel, nil, preds)
+		// The index counts every selectivity exactly.
+		d := opt.Decide(rel, preds)
 		aps := measure(d.Path, preds)
 
 		best := "index"

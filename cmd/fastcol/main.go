@@ -83,7 +83,6 @@ func loadDemo(eng *fastcolumns.Engine, n int) {
 	must(tbl.AddColumn("v", workload.Uniform(1, n, 1<<22)))
 	must(tbl.AddColumn("w", workload.Uniform(2, n, 1<<16)))
 	must(tbl.CreateIndex("v"))
-	must(tbl.Analyze("v", 128))
 	must(tbl.Analyze("w", 128))
 }
 
@@ -98,9 +97,7 @@ func loadTPCH(eng *fastcolumns.Engine, sf float64) {
 	must(tbl.AddColumn("quantity", l.Quantity))
 	must(tbl.AddColumn("price", l.ExtendedPrice))
 	must(tbl.CreateIndex("shipdate"))
-	must(tbl.Analyze("shipdate", 128))
 	must(tbl.CreateBitmapIndex("discount")) // 11 distinct values
-	must(tbl.Analyze("discount", 16))
 }
 
 func run(eng *fastcolumns.Engine, stmt string, timeout time.Duration) {

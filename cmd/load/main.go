@@ -158,7 +158,6 @@ func seedTable(eng *fastcolumns.Engine, n int, domain int32) {
 	}
 	must(tbl.AddColumn("a", workload.Uniform(1, n, domain)))
 	must(tbl.CreateIndex("a"))
-	must(tbl.Analyze("a", 128))
 }
 
 func parseMix(s string) (loadgen.Mix, error) {

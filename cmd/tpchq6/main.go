@@ -21,7 +21,6 @@ import (
 	"fastcolumns/internal/model"
 	"fastcolumns/internal/optimizer"
 	"fastcolumns/internal/scan"
-	"fastcolumns/internal/stats"
 	"fastcolumns/internal/storage"
 	"fastcolumns/internal/tpch"
 )
@@ -43,10 +42,6 @@ func main() {
 	}
 	shipCol := storage.NewColumn("l_shipdate", l.ShipDate)
 	fcRel := &exec.Relation{Column: shipCol, Index: index.Build(shipCol, index.DefaultFanout)}
-	hist, err := stats.BuildHistogram(shipCol, 128)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opt := optimizer.New(model.HW1())
 
 	median := func(f func() int) time.Duration {
@@ -96,7 +91,7 @@ func main() {
 			return r
 		})
 		// FastColumns: APS decides per query.
-		d := opt.Decide(fcRel, hist, []scan.Predicate{p})
+		d := opt.Decide(fcRel, []scan.Predicate{p})
 		fcNote[idx] = d.Path
 		out[3] = median(func() int {
 			res, err := exec.Run(context.Background(), fcRel, d.Path, []scan.Predicate{p}, exec.Options{})

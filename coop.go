@@ -63,9 +63,9 @@ func (s *Server) tryAttach(ctx context.Context, key string, pred Predicate, deli
 }
 
 // attachEstimate returns the selectivity (optimizer.Selectivity: exact
-// with an index, the histogram's estimate without; a nominal 1% when the
-// attribute has neither) and tuple size the attach-vs-wait term prices
-// with.
+// with an index or bitmap, the histogram's estimate without; a nominal 1%
+// when nothing counts or estimates it) and tuple size the attach-vs-wait
+// term prices with.
 func (t *Table) attachEstimate(attr string, pred Predicate) (sel, tupleSize float64, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -73,10 +73,9 @@ func (t *Table) attachEstimate(attr string, pred Predicate) (sel, tupleSize floa
 	if !found {
 		return 0, 0, false
 	}
-	h := t.hists[attr]
 	sel = 0.01
-	if rel.Index != nil || h != nil {
-		sel = optimizer.Selectivity(rel, h, pred)
+	if hasStatistics(rel) {
+		sel = optimizer.Selectivity(rel, pred)
 	}
 	return sel, float64(rel.Column.TupleSize()), true
 }

@@ -41,9 +41,6 @@ func main() {
 	if err := tbl.CreateIndex("ts"); err != nil {
 		log.Fatal(err)
 	}
-	if err := tbl.Analyze("ts", 128); err != nil {
-		log.Fatal(err)
-	}
 
 	// Part 1: the sloped divide. Per-query selectivity stays ~0.05%;
 	// only the batch width changes.

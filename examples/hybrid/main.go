@@ -64,9 +64,6 @@ func main() {
 		if err := tbl.CreateIndex("price"); err != nil {
 			log.Fatal(err)
 		}
-		if err := tbl.Analyze("price", 128); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	// Sweep selectivity and compare decisions. In the band between the

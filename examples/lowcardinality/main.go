@@ -32,7 +32,6 @@ func main() {
 	must(tbl.AddColumn("amount", amount))
 	must(tbl.CreateIndex("status"))       // memory-tuned B+-tree
 	must(tbl.CreateBitmapIndex("status")) // 64 bitmaps of n bits
-	must(tbl.Analyze("status", 64))
 
 	queries := []string{
 		"EXPLAIN SELECT status FROM orders WHERE status = 17",

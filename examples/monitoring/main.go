@@ -49,9 +49,6 @@ func main() {
 	if err := tbl.CreateIndex("v"); err != nil {
 		log.Fatal(err)
 	}
-	if err := tbl.Analyze("v", 128); err != nil {
-		log.Fatal(err)
-	}
 
 	type phase struct {
 		name    string

@@ -33,12 +33,9 @@ func main() {
 	if err := tbl.AddColumn("value", data); err != nil {
 		log.Fatal(err)
 	}
-	// A secondary B+-tree (memory-tuned fanout) and an equi-depth
-	// histogram for selectivity estimation.
+	// A secondary B+-tree (memory-tuned fanout); it also counts each
+	// query's selectivity exactly for the optimizer.
 	if err := tbl.CreateIndex("value"); err != nil {
-		log.Fatal(err)
-	}
-	if err := tbl.Analyze("value", 128); err != nil {
 		log.Fatal(err)
 	}
 

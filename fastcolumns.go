@@ -21,7 +21,6 @@
 //	tbl, _ := eng.CreateTable("events")
 //	tbl.AddColumn("ts", data)
 //	tbl.CreateIndex("ts")
-//	tbl.Analyze("ts", 128)
 //	res, _ := tbl.SelectBatch("ts", []fastcolumns.Predicate{{Lo: 10, Hi: 99}})
 //	// res.Decision.Path says whether the optimizer scanned or probed.
 package fastcolumns
@@ -180,7 +179,6 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 		engine: e,
 		st:     storage.NewTable(name),
 		rels:   make(map[string]*exec.Relation),
-		hists:  make(map[string]*stats.Histogram),
 	}
 	e.tables[name] = t
 	return t, nil
@@ -202,10 +200,9 @@ func (e *Engine) Table(name string) (*Table, error) {
 type Table struct {
 	engine *Engine
 
-	mu    sync.RWMutex
-	st    *storage.Table
-	rels  map[string]*exec.Relation
-	hists map[string]*stats.Histogram
+	mu   sync.RWMutex
+	st   *storage.Table
+	rels map[string]*exec.Relation
 }
 
 // Name returns the table name.
@@ -271,7 +268,9 @@ func (t *Table) relation(attr string) (*exec.Relation, error) {
 	return rel, nil
 }
 
-// CreateIndex bulk-loads a secondary B+-tree over the attribute.
+// CreateIndex bulk-loads a secondary B+-tree over the attribute. The
+// tree counts the attribute's selectivities exactly, so it replaces any
+// histogram Analyze built.
 func (t *Table) CreateIndex(attr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -280,12 +279,15 @@ func (t *Table) CreateIndex(attr string) error {
 		return err
 	}
 	rel.Index = index.Build(rel.Column, t.engine.fanout)
+	rel.Histogram = nil
 	return nil
 }
 
 // CreateBitmapIndex builds the value-per-bitmap secondary index over a
 // low-cardinality attribute (256 distinct values or fewer). The optimizer
-// then arbitrates among scan, B+-tree, and bitmap per batch.
+// then arbitrates among scan, B+-tree, and bitmap per batch. The bitmap
+// counts the attribute's selectivities exactly, so it replaces any
+// histogram Analyze built.
 func (t *Table) CreateBitmapIndex(attr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -298,6 +300,7 @@ func (t *Table) CreateBitmapIndex(attr string) error {
 		return err
 	}
 	rel.Bitmap = bm
+	rel.Histogram = nil
 	return nil
 }
 
@@ -351,10 +354,16 @@ func (t *Table) BuildZonemap(attr string, zoneSize int) error {
 	return nil
 }
 
-// Analyze builds the equi-depth histogram the optimizer estimates
-// selectivity from on attributes without a secondary index (an indexed
-// attribute's selectivities are counted exactly), and the query
-// planner's conjunct estimates.
+// Analyze builds the equi-depth histogram that estimates the
+// attribute's selectivities for the optimizer, the query planner and
+// mid-pass attach, on an attribute that has neither a secondary index
+// nor a bitmap index. Those count selectivities exactly, so on an
+// attribute that has either Analyze builds nothing and returns nil, and
+// CreateIndex and CreateBitmapIndex drop a histogram built earlier.
+// Merge rebuilds the histogram over the merged rows. A merge that widens
+// a bitmap-indexed attribute's domain past bitmap range drops the
+// bitmap, and the attribute then has no statistics until the next
+// Analyze.
 func (t *Table) Analyze(attr string, buckets int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -362,11 +371,14 @@ func (t *Table) Analyze(attr string, buckets int) error {
 	if err != nil {
 		return err
 	}
+	if rel.Index != nil || rel.Bitmap != nil {
+		return nil
+	}
 	h, err := stats.BuildHistogram(rel.Column, buckets)
 	if err != nil {
 		return err
 	}
-	t.hists[attr] = h
+	rel.Histogram = h
 	return nil
 }
 
@@ -423,7 +435,7 @@ func (t *Table) SelectBatchContext(ctx context.Context, attr string, preds []Pre
 	if err != nil {
 		return BatchResult{}, err
 	}
-	d := t.engine.opt.Decide(rel, t.hists[attr], preds)
+	d := t.engine.opt.Decide(rel, preds)
 	opt := t.execOptions()
 	opt.Hints = cardinalityHints(d.Selectivities, rel.Column.Len())
 	res, err := exec.Run(ctx, rel, d.Path, preds, opt)
@@ -513,7 +525,7 @@ func (t *Table) CountContext(ctx context.Context, attr string, preds []Predicate
 	if err != nil {
 		return nil, Decision{}, err
 	}
-	d := t.engine.opt.Decide(rel, t.hists[attr], preds)
+	d := t.engine.opt.Decide(rel, preds)
 	counts, err := exec.RunCount(ctx, rel, d.Path, preds, t.execOptions())
 	if err != nil {
 		return nil, Decision{}, err
@@ -540,7 +552,7 @@ func (t *Table) Explain(attr string, preds []Predicate) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	return t.engine.opt.Decide(rel, t.hists[attr], preds), nil
+	return t.engine.opt.Decide(rel, preds), nil
 }
 
 // SelectVia bypasses the optimizer and answers the batch through the
@@ -613,8 +625,9 @@ func (t *Table) Pending() int {
 
 // Merge folds the delta store into the read store, swaps each secondary
 // index for a new one merged with the delta's entries, and rebuilds the
-// derived per-attribute structures (compressed twins, zonemaps,
-// histograms).
+// derived per-attribute structures (compressed twins, zonemaps, bitmaps
+// and their counts, imprints, and the histograms of attributes that have
+// neither a secondary nor a bitmap index).
 func (t *Table) Merge() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -664,10 +677,10 @@ func (t *Table) Merge() error {
 				rel.Imprints = imp
 			}
 		}
-		if _, ok := t.hists[attr]; ok {
-			h, err := stats.BuildHistogram(col, t.hists[attr].Buckets())
+		if rel.Histogram != nil {
+			h, err := stats.BuildHistogram(col, rel.Histogram.Buckets())
 			if err == nil {
-				t.hists[attr] = h
+				rel.Histogram = h
 			}
 		}
 	}

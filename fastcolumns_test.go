@@ -388,6 +388,91 @@ func TestMergeRebuildsBitmapAndImprints(t *testing.T) {
 	}
 }
 
+// TestStatisticsFollowCountingStructures pins where each attribute's
+// selectivities come from: a bitmap-indexed attribute is counted exactly
+// even when analyzed, an indexed attribute holds no histogram whether it
+// was analyzed before or after CreateIndex (and still none after a
+// merge), and an unindexed attribute estimates from a histogram that
+// Merge rebuilt over the merged rows.
+func TestStatisticsFollowCountingStructures(t *testing.T) {
+	const n, added = 20000, 2000
+	eng := New(Config{})
+	tbl, _ := eng.CreateTable("stats")
+	data := map[string][]Value{
+		"a": workload.Uniform(11, n, 1<<16),
+		"b": workload.Zipf(12, n, 200, 1.2),
+		"c": workload.Uniform(13, n, 1000),
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := tbl.AddColumn(name, data[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(tbl.Analyze("a", 64))
+	must(tbl.CreateIndex("a"))
+	must(tbl.Analyze("a", 64))
+	must(tbl.CreateBitmapIndex("b"))
+	must(tbl.Analyze("b", 64))
+	must(tbl.Analyze("c", 64))
+
+	exact := func(attr string, preds []Predicate) {
+		t.Helper()
+		d, err := tbl.Explain(attr, preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range preds {
+			want := float64(len(refIDs(data[attr], p))) / float64(len(data[attr]))
+			if d.Selectivities[i] != want {
+				t.Fatalf("%s %v: selectivity %v, want the exact %v", attr, p, d.Selectivities[i], want)
+			}
+		}
+	}
+	noHistogram := func(when string) {
+		t.Helper()
+		for _, attr := range []string{"a", "b"} {
+			if tbl.rels[attr].Histogram != nil {
+				t.Fatalf("%s: indexed attribute %s holds a histogram", when, attr)
+			}
+		}
+	}
+	bPreds := []Predicate{{Lo: 0, Hi: 0}, {Lo: 3, Hi: 17}, {Lo: 40, Hi: 90}, {Lo: 150, Hi: 400}}
+	exact("b", bPreds)
+	exact("a", []Predicate{{Lo: 100, Hi: 900}})
+	noHistogram("after Analyze")
+
+	// Append rows whose c value lies beyond every value analyzed.
+	for i := 0; i < added; i++ {
+		tuple := []Value{Value(i), 7, 5000}
+		must(tbl.Append(tuple))
+		data["a"] = append(data["a"], tuple[0])
+		data["b"] = append(data["b"], tuple[1])
+		data["c"] = append(data["c"], tuple[2])
+	}
+	must(tbl.Merge())
+	noHistogram("after Merge")
+	exact("b", bPreds)
+	h := tbl.rels["c"].Histogram
+	if h == nil {
+		t.Fatal("Merge dropped the unindexed attribute's histogram")
+	}
+	p := Predicate{Lo: 1000, Hi: 5000}
+	d, err := tbl.Explain("c", []Predicate{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Selectivities[0]; got != h.EstimateRange(p.Lo, p.Hi) || got < 0.05 {
+		t.Fatalf("unindexed selectivity %v after Merge, want the rebuilt histogram's estimate near %v",
+			got, float64(added)/(n+added))
+	}
+}
+
 func TestSaveAndLoadTable(t *testing.T) {
 	eng, tbl, data := testEngine(t, 5000, 1000)
 	dir := t.TempDir()

@@ -6,7 +6,6 @@
 package bitmap
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -23,12 +22,16 @@ const MaxDomain = 256
 type Index struct {
 	values  []storage.Value // sorted distinct values
 	bitmaps [][]uint64      // bitmaps[i] marks rows holding values[i]
-	n       int
-	words   int
+	// cum[i] is the number of rows holding a value below values[i];
+	// cum[len(values)] is n.
+	cum   []int
+	n     int
+	words int
 }
 
 // Build scans the column once and materializes one bitmap per distinct
-// value. It fails when the domain exceeds MaxDomain.
+// value, counting each value's rows as it sets their bits. It fails when
+// the domain exceeds MaxDomain.
 func Build(c *storage.Column) (*Index, error) {
 	n := c.Len()
 	distinct := make(map[storage.Value]struct{})
@@ -48,7 +51,7 @@ func Build(c *storage.Column) (*Index, error) {
 		slot[v] = i
 	}
 	words := (n + 63) / 64
-	idx := &Index{values: values, n: n, words: words}
+	idx := &Index{values: values, n: n, words: words, cum: make([]int, len(values)+1)}
 	idx.bitmaps = make([][]uint64, len(values))
 	flat := make([]uint64, len(values)*words)
 	for i := range idx.bitmaps {
@@ -57,6 +60,10 @@ func Build(c *storage.Column) (*Index, error) {
 	for i := 0; i < n; i++ {
 		s := slot[c.Get(i)]
 		idx.bitmaps[s][i/64] |= 1 << (uint(i) % 64)
+		idx.cum[s+1]++
+	}
+	for s := 1; s < len(idx.cum); s++ {
+		idx.cum[s] += idx.cum[s-1]
 	}
 	return idx, nil
 }
@@ -100,23 +107,14 @@ func (x *Index) Select(lo, hi storage.Value, out []storage.RowID) []storage.RowI
 	return out
 }
 
-// Count returns the number of qualifying rows without materializing them
-// (a popcount over the ORed words).
+// Count returns the exact number of rows with lo <= value <= hi from the
+// per-value counts Build recorded, touching no bitmap.
 func (x *Index) Count(lo, hi storage.Value) int {
 	i, j := x.valueRange(lo, hi)
 	if i >= j {
 		return 0
 	}
-	maps := x.bitmaps[i:j]
-	total := 0
-	for w := 0; w < x.words; w++ {
-		word := uint64(0)
-		for _, m := range maps {
-			word |= m[w]
-		}
-		total += bits.OnesCount64(word)
-	}
-	return total
+	return x.cum[j] - x.cum[i]
 }
 
 // SharedSelect answers a batch of ranges, one result set per query in
@@ -128,10 +126,4 @@ func (x *Index) SharedSelect(ranges [][2]storage.Value) [][]storage.RowID {
 		out[qi] = x.Select(r[0], r[1], nil)
 	}
 	return out
-}
-
-// Insert is unsupported: bitmap indexes in the read store are rebuilt at
-// delta-merge time (their whole point is a frozen, dense rowID space).
-func (x *Index) Insert(storage.Value, storage.RowID) error {
-	return errors.New("bitmap: append requires rebuild at merge time")
 }

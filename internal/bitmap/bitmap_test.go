@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,11 +105,78 @@ func TestSharedSelect(t *testing.T) {
 	}
 }
 
-func TestInsertRejected(t *testing.T) {
-	col, _ := lowCardColumn(4, 100, 10)
-	x, _ := Build(col)
-	if err := x.Insert(5, 100); err == nil {
-		t.Fatal("bitmap insert should be rejected")
+// TestCountDifferentialAgainstSelect pins Count, which reads per-value
+// counts, to the rows Select emits from the bitmaps: on random
+// low-cardinality columns with gaps between their values (one-value
+// domains and domains at the int32 ends included) and ranges that are
+// inverted, open at either int32 end, or wholly outside the domain.
+func TestCountDifferentialAgainstSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 200; trial++ {
+		domain := 1 + rng.Intn(MaxDomain)
+		if trial%10 == 0 {
+			domain = 1
+		}
+		base := storage.Value(rng.Int31n(1000) - 500)
+		switch trial % 3 {
+		case 1:
+			base = math.MinInt32
+		case 2:
+			base = math.MaxInt32 - 2*storage.Value(domain-1)
+		}
+		data := make([]storage.Value, 1+rng.Intn(700))
+		for i := range data {
+			data[i] = base + 2*storage.Value(rng.Intn(domain))
+		}
+		x, err := Build(storage.NewColumn("v", data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := base + 2*storage.Value(domain-1)
+		inside := func() storage.Value { return base + storage.Value(rng.Intn(2*domain-1)) }
+		for _, r := range [][2]storage.Value{
+			{base, top},
+			{math.MinInt32, math.MaxInt32},
+			{math.MinInt32, base},
+			{top, math.MaxInt32},
+			{top, base},
+			{math.MaxInt32, math.MinInt32},
+			{inside(), inside()},
+			{inside(), inside()},
+			{inside(), inside()},
+		} {
+			if got, want := x.Count(r[0], r[1]), len(x.Select(r[0], r[1], nil)); got != want {
+				t.Fatalf("trial %d (base %d, domain %d): Count(%d, %d) = %d, Select has %d rows",
+					trial, base, domain, r[0], r[1], got, want)
+			}
+		}
+		if base > math.MinInt32 {
+			if got := x.Count(math.MinInt32, base-1); got != 0 {
+				t.Fatalf("trial %d: Count below the domain = %d", trial, got)
+			}
+		}
+		if top < math.MaxInt32 {
+			if got := x.Count(top+1, math.MaxInt32); got != 0 {
+				t.Fatalf("trial %d: Count above the domain = %d", trial, got)
+			}
+		}
+	}
+}
+
+// TestBitmapCountZeroAlloc guards the COUNT(*) and selectivity path:
+// counting a range allocates nothing.
+func TestBitmapCountZeroAlloc(t *testing.T) {
+	col, _ := lowCardColumn(4, 10000, 100)
+	x, err := Build(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := 0
+	if allocs := testing.AllocsPerRun(100, func() { sink += x.Count(30, 150) }); allocs != 0 {
+		t.Fatalf("Count allocated %v times per call", allocs)
+	}
+	if sink == 0 {
+		t.Fatal("Count found no rows")
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fastcolumns/internal/obs"
 	rt "fastcolumns/internal/runtime"
 	"fastcolumns/internal/scan"
+	"fastcolumns/internal/stats"
 	"fastcolumns/internal/storage"
 )
 
@@ -49,6 +50,9 @@ type Relation struct {
 	// Imprints accelerates scans with cache-line data skipping (takes
 	// precedence over the coarser zonemap).
 	Imprints *imprints.Index
+	// Histogram estimates selectivity where neither Index nor Bitmap
+	// counts it; nil on an attribute that carries either.
+	Histogram *stats.Histogram
 	// Passes, when non-nil, publishes this attribute's scans under
 	// PassKey while they run, so late queries can attach mid-pass; a
 	// relation without one scans unpublished.

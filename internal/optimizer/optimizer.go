@@ -1,11 +1,12 @@
 // Package optimizer implements the cost-based access path selection
 // module of Section 3 (Figure 11): given the batch the scheduler
 // assembled, per-query selectivities (counted exactly by the secondary
-// index when one exists, estimated from the histogram otherwise), the
-// data's physical shape from the storage engine, and the hardware profile
-// captured at initialization, it evaluates the APS ratio and picks the
-// access path. It also implements the traditional fixed-selectivity-
-// threshold optimizer the paper compares against.
+// or bitmap index when one exists, estimated from the relation's
+// histogram otherwise), the data's physical shape from the storage
+// engine, and the hardware profile captured at initialization, it
+// evaluates the APS ratio and picks the access path. It also implements
+// the traditional fixed-selectivity-threshold optimizer the paper
+// compares against.
 package optimizer
 
 import (
@@ -16,7 +17,6 @@ import (
 	"fastcolumns/internal/model"
 	"fastcolumns/internal/obs"
 	"fastcolumns/internal/scan"
-	"fastcolumns/internal/stats"
 )
 
 // Optimizer is the APS module: hardware and design are captured once at
@@ -98,9 +98,9 @@ type Decision struct {
 	Path model.Path
 	// Ratio is the APS value (ConcIndex/SharedScan); >= 1 selects the scan.
 	Ratio float64
-	// Selectivities holds the per-query selectivities used: exact index
-	// counts when the relation has a secondary index, histogram estimates
-	// otherwise (see Selectivity).
+	// Selectivities holds the per-query selectivities used: exact counts
+	// when the relation has a secondary or bitmap index, histogram
+	// estimates otherwise (see Selectivity).
 	Selectivities []float64
 	// Forced is true when only one path existed (e.g. no secondary index).
 	Forced bool
@@ -198,32 +198,35 @@ func scanSide(rel *exec.Relation, p model.Params, skip float64) (cost float64, k
 
 // Selectivity is the engine's one source of selectivities: the exact
 // fraction of the relation the predicate selects, counted by the
-// secondary index in two descents when the relation has one, the
-// histogram's estimate when it has none, and 0 without either. Section 3
-// names selectivity the only estimated input to APS; wherever an index
-// makes the choice a real one, it is not estimated at all.
-func Selectivity(rel *exec.Relation, h *stats.Histogram, p scan.Predicate) float64 {
+// secondary index in two descents or by the bitmap index from its
+// per-value counts, else the relation's histogram estimate, and 0 with
+// none of them. Section 3 names selectivity the only estimated input to
+// APS; wherever an index or bitmap makes the choice a real one, it is not
+// estimated at all.
+func Selectivity(rel *exec.Relation, p scan.Predicate) float64 {
+	n := rel.Column.Len()
 	switch {
+	case n == 0:
 	case rel.Index != nil:
-		if n := rel.Column.Len(); n > 0 {
-			return float64(rel.Index.RangeCount(p.Lo, p.Hi)) / float64(n)
-		}
-	case h != nil:
-		return h.EstimateRange(p.Lo, p.Hi)
+		return float64(rel.Index.RangeCount(p.Lo, p.Hi)) / float64(n)
+	case rel.Bitmap != nil:
+		return float64(rel.Bitmap.Count(p.Lo, p.Hi)) / float64(n)
+	case rel.Histogram != nil:
+		return rel.Histogram.EstimateRange(p.Lo, p.Hi)
 	}
 	return 0
 }
 
 // Decide performs the full run-time decision for a batch over a relation:
-// selectivities come from Selectivity (exact where an index exists), N
-// and ts from the column, a zonemap (if present) credits the scan with
-// the zones the whole batch can skip (Appendix E), and relations without
-// a secondary index force a scan.
-func (o *Optimizer) Decide(rel *exec.Relation, h *stats.Histogram, preds []scan.Predicate) Decision {
+// selectivities come from Selectivity (exact where an index or bitmap
+// exists), N and ts from the column, a zonemap (if present) credits the
+// scan with the zones the whole batch can skip (Appendix E), and
+// relations without a secondary index force a scan.
+func (o *Optimizer) Decide(rel *exec.Relation, preds []scan.Predicate) Decision {
 	start := time.Now()
 	sel := make([]float64, len(preds))
 	for i, p := range preds {
-		sel[i] = Selectivity(rel, h, p)
+		sel[i] = Selectivity(rel, p)
 	}
 	p := model.Params{
 		Workload: model.Workload{Selectivities: sel},

@@ -14,9 +14,9 @@ import (
 	"fastcolumns/internal/workload"
 )
 
-// testRelation builds an unindexed relation over uniform data and its
-// histogram.
-func testRelation(t *testing.T, n int, domain int32) (*exec.Relation, *stats.Histogram) {
+// testRelation builds an unindexed relation over uniform data, carrying
+// its histogram.
+func testRelation(t *testing.T, n int, domain int32) *exec.Relation {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	data := make([]storage.Value, n)
@@ -24,12 +24,11 @@ func testRelation(t *testing.T, n int, domain int32) (*exec.Relation, *stats.His
 		data[i] = rng.Int31n(domain)
 	}
 	col := storage.NewColumn("v", data)
-	rel := &exec.Relation{Column: col}
 	h, err := stats.BuildHistogram(col, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rel, h
+	return &exec.Relation{Column: col, Histogram: h}
 }
 
 func TestChooseFollowsModel(t *testing.T) {
@@ -83,7 +82,8 @@ func TestDecideCountsSelectivityExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed := &exec.Relation{Column: col, Index: index.Build(col, index.DefaultFanout)}
+	// The histogram rides along to show the index's count outranks it.
+	indexed := &exec.Relation{Column: col, Index: index.Build(col, index.DefaultFanout), Histogram: h}
 	o := New(model.HW1())
 
 	pred := scan.Predicate{Lo: 2711, Hi: 5422}
@@ -109,7 +109,7 @@ func TestDecideCountsSelectivityExactly(t *testing.T) {
 		t.Fatalf("fixture: the histogram's estimate picks %v, the same as the truth", truth)
 	}
 
-	d := o.Decide(indexed, h, preds)
+	d := o.Decide(indexed, preds)
 	for i, s := range d.Selectivities {
 		if s != exact {
 			t.Fatalf("selectivity %d = %v, want the index count %v (histogram says %v)", i, s, exact, est)
@@ -120,20 +120,20 @@ func TestDecideCountsSelectivityExactly(t *testing.T) {
 	}
 
 	// No index: the histogram is the only source, and the scan is forced.
-	d = o.Decide(&exec.Relation{Column: col}, h, preds)
+	d = o.Decide(&exec.Relation{Column: col, Histogram: h}, preds)
 	if d.Selectivities[0] != est || !d.Forced {
 		t.Fatalf("unindexed Decide used selectivity %v (forced %v), want the histogram's %v", d.Selectivities[0], d.Forced, est)
 	}
 	// Neither an index nor a histogram: selectivity 0.
-	if s := Selectivity(&exec.Relation{Column: col}, nil, pred); s != 0 {
+	if s := Selectivity(&exec.Relation{Column: col}, pred); s != 0 {
 		t.Fatalf("Selectivity with no index or histogram = %v, want 0", s)
 	}
 }
 
 func TestDecideForcedWithoutIndex(t *testing.T) {
-	rel, h := testRelation(t, 10000, 1000)
+	rel := testRelation(t, 10000, 1000)
 	o := New(model.HW1())
-	d := o.Decide(rel, h, []scan.Predicate{{Lo: 0, Hi: 0}})
+	d := o.Decide(rel, []scan.Predicate{{Lo: 0, Hi: 0}})
 	if d.Path != model.PathScan || !d.Forced {
 		t.Fatalf("missing index must force a scan: %+v", d)
 	}

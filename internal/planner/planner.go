@@ -63,21 +63,3 @@ func Order(filters []Filter, estimate Estimator) (Plan, error) {
 	}
 	return p, nil
 }
-
-// CombinedSelectivity estimates the conjunction's selectivity under the
-// usual independence assumption — what a cardinality estimator would
-// hand the next operator.
-func CombinedSelectivity(filters []Filter, estimate Estimator) float64 {
-	s := 1.0
-	for _, f := range filters {
-		fs := estimate(f)
-		if fs < 0 {
-			fs = 0
-		}
-		if fs > 1 {
-			fs = 1
-		}
-		s *= fs
-	}
-	return s
-}

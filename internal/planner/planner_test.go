@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"math"
 	"testing"
 
 	"fastcolumns/internal/scan"
@@ -75,16 +74,5 @@ func TestOrderClampsEstimates(t *testing.T) {
 	}
 	if p.DriverSelectivity != 0 {
 		t.Fatalf("negative estimate not clamped: %v", p.DriverSelectivity)
-	}
-}
-
-func TestCombinedSelectivity(t *testing.T) {
-	filters := []Filter{{Attr: "a"}, {Attr: "b"}}
-	got := CombinedSelectivity(filters, est(map[string]float64{"a": 0.1, "b": 0.5}))
-	if math.Abs(got-0.05) > 1e-12 {
-		t.Fatalf("combined = %v, want 0.05", got)
-	}
-	if got := CombinedSelectivity(nil, est(nil)); got != 1 {
-		t.Fatalf("empty conjunction selectivity = %v", got)
 	}
 }

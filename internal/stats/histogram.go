@@ -1,7 +1,9 @@
-// Package stats provides the statistics the APS optimizer consumes at run
-// time (Section 3, "Continuous Data Collection"): equi-depth histograms
-// that estimate selectivity on attributes without a secondary index (an
-// index counts its own selectivities exactly) and for the query planner.
+// Package stats provides the one estimated statistic the APS optimizer
+// consumes at run time (Section 3, "Continuous Data Collection"): an
+// equi-depth histogram that estimates selectivity on an attribute with
+// neither a secondary index nor a bitmap index, for the optimizer, the
+// query planner and mid-pass attach. Where either index exists, it
+// counts the attribute's selectivities exactly and no histogram is kept.
 // The other Section 3 statistic, outstanding queries per attribute, is
 // the scheduler's pending count.
 package stats
@@ -67,9 +69,6 @@ func BuildHistogram(c *storage.Column, buckets int) (*Histogram, error) {
 // Buckets returns the number of buckets actually materialized (can be
 // fewer than requested on low-cardinality data).
 func (h *Histogram) Buckets() int { return len(h.bounds) }
-
-// N returns the number of tuples summarized.
-func (h *Histogram) N() int { return h.n }
 
 // cdf returns the estimated number of tuples with value <= v, using
 // linear interpolation within the containing bucket.

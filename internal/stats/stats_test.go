@@ -120,9 +120,6 @@ func TestHistogramBucketCountClamped(t *testing.T) {
 	if h.Buckets() > 3 {
 		t.Fatalf("more buckets (%d) than tuples", h.Buckets())
 	}
-	if h.N() != 3 {
-		t.Fatalf("N = %d", h.N())
-	}
 }
 
 func TestEstimateRangeOpenBelow(t *testing.T) {

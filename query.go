@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"fastcolumns/internal/dsl"
+	"fastcolumns/internal/exec"
 	"fastcolumns/internal/ops"
+	"fastcolumns/internal/optimizer"
 	"fastcolumns/internal/planner"
 	"fastcolumns/internal/storage"
 )
@@ -49,10 +51,11 @@ type QueryResult struct {
 //	EXPLAIN SELECT COUNT(*) FROM t WHERE v = 42
 //
 // Conjunctions are planned the classic way: the most selective conjunct
-// (by histogram estimate) drives the access path — where APS arbitrates
-// scan vs index vs bitmap — and the remaining conjuncts run as residual
-// filters over the survivors. Aggregates and cross-attribute projections
-// run as downstream operators over the final rowID set.
+// (by exact count where an index or bitmap exists, else by histogram
+// estimate) drives the access path — where APS arbitrates scan vs index
+// vs bitmap — and the remaining conjuncts run as residual filters over
+// the survivors. Aggregates and cross-attribute projections run as
+// downstream operators over the final rowID set.
 func (e *Engine) Query(statement string) (QueryResult, error) {
 	return e.QueryContext(context.Background(), statement)
 }
@@ -179,24 +182,26 @@ func (e *Engine) QueryContext(ctx context.Context, statement string) (QueryResul
 	return out, nil
 }
 
-// estimator builds the planner's selectivity estimator from the table's
-// histograms; attributes without statistics estimate 1 (never drive).
+// estimator is the planner's selectivity estimator: the optimizer's
+// Selectivity (exact on an attribute with an index or bitmap), and 1
+// (never drive) on an attribute with no statistics at all.
 func (t *Table) estimator() planner.Estimator {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	hists := make(map[string]interface {
-		EstimateRange(lo, hi Value) float64
-	}, len(t.hists))
-	for attr, h := range t.hists {
-		hists[attr] = h
-	}
 	return func(f planner.Filter) float64 {
-		h, ok := hists[f.Attr]
-		if !ok {
+		// Merge swaps the relation's structures under the write lock.
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		rel, ok := t.rels[f.Attr]
+		if !ok || !hasStatistics(rel) {
 			return 1
 		}
-		return h.EstimateRange(f.Pred.Lo, f.Pred.Hi)
+		return optimizer.Selectivity(rel, f.Pred)
 	}
+}
+
+// hasStatistics reports whether anything counts or estimates the
+// relation's selectivities: an index, a bitmap or a histogram.
+func hasStatistics(rel *exec.Relation) bool {
+	return rel.Index != nil || rel.Bitmap != nil || rel.Histogram != nil
 }
 
 // column exposes a raw column view for downstream operators.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"fastcolumns/internal/race"
+	"fastcolumns/internal/stats"
+	"fastcolumns/internal/storage"
 	"fastcolumns/internal/workload"
 )
 
@@ -202,6 +204,56 @@ func TestQueryConjunctionDriverChoice(t *testing.T) {
 	}
 	if res.DriverAttr != "price" {
 		t.Fatalf("driver = %s, want price", res.DriverAttr)
+	}
+}
+
+// TestQueryConjunctionDriverCountedExactly orders two indexed, analyzed
+// Zipf attributes whose 64-bucket histograms misorder the conjuncts: a's
+// tail range is underestimated ~100x, so by estimate it would drive, but
+// b's range selects fewer rows. The index counts pick b.
+func TestQueryConjunctionDriverCountedExactly(t *testing.T) {
+	const n = 200_000
+	eng := New(Config{})
+	tbl, err := eng.CreateTable("zipf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[string][]Value{
+		"a": workload.Zipf(1, n, 1<<20, 1.5),
+		"b": workload.Zipf(2, n, 1<<20, 1.5),
+	}
+	preds := map[string]Predicate{
+		"a": {Lo: 2711, Hi: 5422},
+		"b": {Lo: 50000, Hi: 100000},
+	}
+	sel := map[string][2]float64{} // exact, estimated
+	for _, attr := range []string{"a", "b"} {
+		if err := tbl.AddColumn(attr, data[attr]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CreateIndex(attr); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Analyze(attr, 64); err != nil {
+			t.Fatal(err)
+		}
+		h, err := stats.BuildHistogram(storage.NewColumn(attr, data[attr]), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := preds[attr]
+		sel[attr] = [2]float64{float64(len(refIDs(data[attr], p))) / n, h.EstimateRange(p.Lo, p.Hi)}
+	}
+	if !(sel["b"][0] < sel["a"][0] && sel["a"][1] < sel["b"][1]) {
+		t.Fatalf("fixture: histograms (a %v, b %v) order the conjuncts as the counts (a %v, b %v) do",
+			sel["a"][1], sel["b"][1], sel["a"][0], sel["b"][0])
+	}
+	res, err := eng.Query("EXPLAIN SELECT COUNT(*) FROM zipf WHERE a BETWEEN 2711 AND 5422 AND b BETWEEN 50000 AND 100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DriverAttr != "b" || res.Decision.Selectivities[0] != sel["b"][0] {
+		t.Fatalf("driver = %s at selectivity %v, want b at its exact %v", res.DriverAttr, res.Decision.Selectivities[0], sel["b"][0])
 	}
 }
 

@@ -16,9 +16,11 @@ type Robustness struct {
 }
 
 // ExplainRobustness runs access path selection for the batch and reports
-// how sensitive the decision is to selectivity error. With an index the
-// selectivities are exact counts; without one they are histogram
-// estimates, and the margin says how wrong those may be.
+// how sensitive the decision is to selectivity error. With an index or
+// a bitmap the selectivities are exact counts, so the margin says how
+// far the batch sits from the flip rather than how wrong an estimate may
+// be; without either the scan is forced, and the margin is the one an
+// index would face.
 func (t *Table) ExplainRobustness(attr string, preds []Predicate) (Decision, Robustness, error) {
 	d, err := t.Explain(attr, preds)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"fastcolumns/internal/exec"
 	"fastcolumns/internal/persist"
-	"fastcolumns/internal/stats"
 )
 
 // Save persists the table's read store into dir (one checksummed column
@@ -18,9 +17,11 @@ func (t *Table) Save(dir string) error {
 }
 
 // LoadTable restores a table persisted with Save and registers it under
-// its saved name. Access structures (indexes, zonemaps, compressed twins,
-// histograms) are not persisted; rebuild the ones you need with
-// CreateIndex / BuildZonemap / Compress / Analyze.
+// its saved name. Access structures and statistics (indexes, bitmaps,
+// zonemaps, imprints, compressed twins, histograms) are not persisted;
+// rebuild the ones you need with CreateIndex / CreateBitmapIndex /
+// BuildZonemap / BuildImprints / Compress, and Analyze an attribute that
+// has neither kind of index.
 func (e *Engine) LoadTable(dir string) (*Table, error) {
 	st, err := persist.LoadTable(dir)
 	if err != nil {
@@ -35,7 +36,6 @@ func (e *Engine) LoadTable(dir string) (*Table, error) {
 		engine: e,
 		st:     st,
 		rels:   make(map[string]*exec.Relation),
-		hists:  make(map[string]*stats.Histogram),
 	}
 	for _, name := range st.ColumnNames() {
 		if err := t.buildRelation(name); err != nil {
